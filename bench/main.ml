@@ -601,20 +601,6 @@ let stress_json p =
       ( "max_live_sessions",
         Cex_service.Json.Int p.stress_max_live_sessions ) ]
 
-(* Sum of the baseline's per-stage totals: the closest thing schema-2
-   baselines have to an end-to-end corpus wall time. *)
-let baseline_total_ms doc =
-  match Cex_service.Json.member "stages" doc with
-  | Some (Cex_service.Json.Obj stages) ->
-    List.fold_left
-      (fun acc (_, s) ->
-        match Cex_service.Json.member "total_ms" s with
-        | Some (Cex_service.Json.Float f) -> acc +. f
-        | Some (Cex_service.Json.Int i) -> acc +. float_of_int i
-        | _ -> acc)
-      0.0 stages
-  | _ -> 0.0
-
 (* Compare against a committed baseline (BENCH_3.json). Returns false iff
    some stage's median regressed by more than [threshold]x. *)
 let compare_baseline ~threshold current file =
@@ -646,20 +632,6 @@ let compare_baseline ~threshold current file =
             ok)
         true stage_names
     in
-    (* End-to-end: the current parallel corpus wall vs the baseline's summed
-       stage totals (informational — the hard gate is per-stage medians). *)
-    (match
-       ( baseline_total_ms base,
-         Option.bind
-           (Cex_service.Json.member "parallel" current)
-           (Cex_service.Json.member "corpus_wall_parallel_ms") )
-     with
-    | b, Some (Cex_service.Json.Float c) when b > 0.0 && c > 0.0 ->
-      Fmt.pr
-        "  end-to-end corpus:  baseline stage total %10.3f ms   current wall \
-         %10.3f ms   %.2fx faster@."
-        b c (b /. c)
-    | _ -> ());
     ok
 
 let json_bench ~out ~baseline =
@@ -694,52 +666,34 @@ let json_bench ~out ~baseline =
       in
       ignore (Cex.Driver.analyze_session ~options session))
     (Corpus.all ());
-  (* A second corpus pass under the SR-automaton walk. Only its namespaced
-     stages are recorded — the shared stages (table build, path search,
-     classification) already have their samples from the product pass and
-     would be double-counted otherwise. *)
-  let srwalk_sink =
-    Cex_session.Trace.make
-      ~on_span:(fun stage seconds ->
-        if String.starts_with ~prefix:"srwalk." stage then
-          record stage (seconds *. 1000.0))
-      ~on_count:(fun _ _ _ -> ())
-  in
-  let srwalk_options = { options with Cex.Driver.engine = Cex.Driver.Srwalk } in
+  (* The SR-automaton walk, called directly on every conflict that has a
+     lookahead-sensitive path, under the same configuration budget. It is
+     the differential check of the product search, not a production stage;
+     its samples keep the regression gate watching it. *)
   List.iter
     (fun entry ->
-      let session =
-        Cex_session.Session.create ~trace:srwalk_sink (Corpus.grammar entry)
-      in
-      ignore (Cex.Driver.analyze_session ~options:srwalk_options session))
+      let table = Parse_table.build (Corpus.grammar entry) in
+      let lalr = Parse_table.lalr table in
+      let sr = Cex_srwalk.Sr_automaton.of_lalr lalr in
+      List.iter
+        (fun c ->
+          match
+            Cex.Lookahead_path.find lalr ~conflict_state:c.Conflict.state
+              ~reduce_item:(Conflict.reduce_item c)
+              ~terminal:c.Conflict.terminal
+          with
+          | None -> ()
+          | Some path ->
+            let path_states = Cex.Lookahead_path.states_on_path path in
+            let t0 = Cex_session.Clock.now Cex_session.Clock.system in
+            ignore
+              (Cex_srwalk.Differential.search ~max_configs sr ~conflict:c
+                 ~path_states);
+            record "srwalk.search"
+              ((Cex_session.Clock.now Cex_session.Clock.system -. t0)
+              *. 1000.0))
+        (Parse_table.conflicts table))
     (Corpus.all ());
-  (* A race pass: both engines per conflict on the worker pool under one
-     budget. Wall time plus the adjudication counters — with two mirrored
-     engines every race should be an agreed tie awarded to product. *)
-  let race_counters : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let race_sink =
-    Cex_session.Trace.make
-      ~on_span:(fun _ _ -> ())
-      ~on_count:(fun stage counter n ->
-        if stage = "race" then
-          Hashtbl.replace race_counters counter
-            (n + Option.value ~default:0 (Hashtbl.find_opt race_counters counter)))
-  in
-  let race_options = { options with Cex.Driver.engine = Cex.Driver.Race } in
-  let race_wall_ms =
-    let t0 = Cex_session.Clock.now Cex_session.Clock.system in
-    List.iter
-      (fun entry ->
-        let session =
-          Cex_session.Session.create ~trace:race_sink (Corpus.grammar entry)
-        in
-        ignore (Cex.Driver.analyze_session ~options:race_options session))
-      (Corpus.all ());
-    (Cex_session.Clock.now Cex_session.Clock.system -. t0) *. 1000.0
-  in
-  let race_counter name =
-    Option.value ~default:0 (Hashtbl.find_opt race_counters name)
-  in
   let stage_samples stage =
     match Hashtbl.find_opt samples stage with Some r -> !r | None -> []
   in
@@ -753,7 +707,7 @@ let json_bench ~out ~baseline =
   let par = parallel_point ~options ~conflict_jobs in
   let doc =
     Cex_service.Json.Obj
-      [ ("schema", Cex_service.Json.Int 5);
+      [ ("schema", Cex_service.Json.Int 6);
         ( "workload",
           Cex_service.Json.Obj
             [ ("corpus", Cex_service.Json.String "all");
@@ -764,15 +718,6 @@ let json_bench ~out ~baseline =
             (List.map
                (fun stage -> (stage, stage_json (stage_samples stage)))
                recorded) );
-        ( "race",
-          Cex_service.Json.Obj
-            [ ("corpus_wall_ms", Cex_service.Json.Float race_wall_ms);
-              ("agreed", Cex_service.Json.Int (race_counter "agreed"));
-              ("disagreed", Cex_service.Json.Int (race_counter "disagreed"));
-              ( "winner_product",
-                Cex_service.Json.Int (race_counter "winner_product") );
-              ( "winner_srwalk",
-                Cex_service.Json.Int (race_counter "winner_srwalk") ) ] );
         ("parallel", parallel_json par);
         ("serve", serve_json serve);
         ("stress", stress_json stress) ]
@@ -786,10 +731,6 @@ let json_bench ~out ~baseline =
     (median (stage_samples "path_search"))
     (median (stage_samples "product.search"))
     (median (stage_samples "srwalk.search"));
-  Fmt.pr "race: corpus wall %.1f ms, agreed %d, disagreed %d, winners \
-          product %d / srwalk %d@."
-    race_wall_ms (race_counter "agreed") (race_counter "disagreed")
-    (race_counter "winner_product") (race_counter "winner_srwalk");
   Fmt.pr "corpus wall (ms): jobs 1 %.1f, jobs %d %.1f; Java.5 (ms): jobs 1 \
           %.1f, jobs %d %.1f@."
     par.corpus_wall_seq_ms conflict_jobs par.corpus_wall_par_ms

@@ -1,9 +1,8 @@
-(* The mutable counterpart of [Pqueue]: same Dial-style monotone bucket
-   queue, same pop order (least priority first, FIFO within a priority), but
-   buckets live in a flat array of stdlib [Queue]s instead of a persistent
-   map. The searches pop every entry they push, so persistence buys nothing
-   there, while the map's rebalancing and the banker's-queue reversals were
-   the largest remaining allocation churn in the search loops.
+(* A Dial-style monotone bucket queue: least priority first, FIFO within a
+   priority, with the buckets in a flat array of stdlib [Queue]s. The
+   searches pop every entry they push, so a persistent queue would buy
+   nothing, and a map's rebalancing would be allocation churn in the search
+   loops.
 
    The array is indexed directly by priority. Both searches use small
    non-negative integer costs with a non-decreasing minimum, so [min_prio]

@@ -1,6 +1,5 @@
 (** Mutable min-priority queue with integer priorities and FIFO
-    tie-breaking — the in-place counterpart of {!Pqueue}, with the identical
-    pop order (least priority first, insertion order within a priority).
+    tie-breaking: least priority first, insertion order within a priority.
 
     A Dial-style bucket array indexed directly by priority. Intended for the
     monotone access pattern of the searches: small non-negative costs whose

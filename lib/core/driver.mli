@@ -15,28 +15,12 @@
 
 open Automaton
 
-(** Which unifying-counterexample engine analyzes each conflict:
-
-    - [Product]: the paper's product-parser search ({!Product_search});
-    - [Srwalk]: the SR-automaton walk ({!Cex_srwalk.Walk}), Quaglia's
-      conflict-first traversal of structures derived from the
-      nondeterministic LR tables;
-    - [Race]: both engines run every conflict (two tasks per conflict on
-      the session pool, one shared cumulative budget) and the winner is
-      adjudicated deterministically — see {!analyze_session}. *)
-type engine = Product | Srwalk | Race
-
-val engine_of_string : string -> engine option
-val engine_to_string : engine -> string
-
 type options = {
   per_conflict_timeout : float;  (** seconds; paper default 5.0 *)
   cumulative_timeout : float;  (** seconds; paper default 120.0 *)
   extended : bool;  (** full search (the paper's [-extendedsearch]) *)
   costs : Product_search.costs;
-  max_configs : int;
-      (** explored-configuration (product) / explored-node (srwalk) budget *)
-  engine : engine;
+  max_configs : int;  (** explored-configuration budget per conflict *)
 }
 
 val default_options : options
@@ -79,9 +63,6 @@ type conflict_report = {
   failure : string option;
       (** exception and backtrace, for {!Search_crashed} only *)
   validation : validation;
-  engine : string;
-      (** which engine produced this report (["product"] / ["srwalk"]);
-          under {!Race}, the adjudicated winner *)
 }
 
 type report = {
@@ -111,17 +92,6 @@ val analyze_session :
     Per-task metric collectors are merged into the session's collector in
     conflict order after the join.
 
-    Under [options.engine = Race] every conflict becomes {e two} tasks —
-    one per engine — on the same pool and budget, and the per-conflict
-    winner is adjudicated deterministically after the join (never by
-    wall-clock arrival, which would break the any-jobs determinism): a
-    structurally-valid decided report beats an undecided one; when both
-    engines decide and agree, the one that explored fewer configurations
-    wins, ties to product; a disagreement — one engine's bug — prefers the
-    validated witness and bumps the ["race"] stage's [disagreed] counter.
-    The winner's name is in each report's [engine] field and in the
-    ["race"] stage's [winner_product]/[winner_srwalk] counters.
-
     A conflict whose search raises yields a {!Search_crashed} report (at
     any jobs count) instead of aborting the session. *)
 
@@ -144,23 +114,16 @@ val analyze_conflict :
     {!Skipped_search}.
 
     [trace] overrides the session's sink for this conflict's spans and
-    counters (the parallel driver passes per-task collectors). Engine
-    stages are namespaced through {!Cex_session.Trace.prefixed} —
-    ["product.search"] / ["srwalk.search"] and
-    ["product.nonunifying"] / ["srwalk.nonunifying"] — and carry an
+    counters (the parallel driver passes per-task collectors). The search
+    stages are namespaced through {!Cex_session.Trace.prefixed} as
+    ["product.search"] and ["product.nonunifying"], and carry an
     ["alloc_words"] counter with the [Gc.minor_words] delta of the search;
-    the shared ["path_search"] stage stays unprefixed (both engines reuse
-    the same memoized paths). Shortest paths are memoized on the session
-    per (conflict state, reduce item, terminal): a memo hit emits no
-    ["path_search"] span, so span and counter totals count distinct
-    searches, not conflicts.
-
-    Under [options.engine = Race] both engines run sequentially here and
-    the adjudicated winner is returned; {!analyze_session} instead fans
-    the two engines out as separate pool tasks. *)
+    the ["path_search"] stage stays unprefixed. Shortest paths are memoized
+    on the session per (conflict state, reduce item, terminal): a memo hit
+    emits no ["path_search"] span, so span and counter totals count
+    distinct searches, not conflicts. *)
 
 val crashed_conflict_report :
-  ?engine:string ->
   Cex_session.Session.t ->
   Conflict.t ->
   exn ->

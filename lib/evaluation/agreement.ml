@@ -28,15 +28,10 @@ let outcome_name = function
   | `Exhausted -> "exhausted"
   | `Capped -> "capped"
 
-let product_category = function
+let category = function
   | Cex.Product_search.Unifying _ -> `Unifying
   | Cex.Product_search.Exhausted _ -> `Exhausted
   | Cex.Product_search.Timeout _ -> `Capped
-
-let walk_category = function
-  | Cex_srwalk.Walk.Ambiguous _ -> `Unifying
-  | Cex_srwalk.Walk.Exhausted _ -> `Exhausted
-  | Cex_srwalk.Walk.Timeout _ -> `Capped
 
 let check_conflict ~max_configs g lalr sr oracle problems counts name
     (c : Conflict.t) =
@@ -56,10 +51,9 @@ let check_conflict ~max_configs g lalr sr oracle problems counts name
       Cex.Product_search.search ~max_configs lalr ~conflict:c ~path_states
     in
     let s =
-      Cex_srwalk.Walk.search ~max_nodes:max_configs sr ~conflict:c
-        ~path_states
+      Cex_srwalk.Differential.search ~max_configs sr ~conflict:c ~path_states
     in
-    let pc = product_category p and sc = walk_category s in
+    let pc = category p and sc = category s in
     if pc <> sc then
       problem "%s state %d on %s: product %s vs srwalk %s" name
         c.Conflict.state
@@ -72,13 +66,7 @@ let check_conflict ~max_configs g lalr sr oracle problems counts name
       | `Exhausted -> incr exhausted
       | `Capped -> incr capped);
       match s with
-      | Cex_srwalk.Walk.Ambiguous (a, _) -> (
-        let u =
-          { Cex.Product_search.nonterminal = a.Cex_srwalk.Walk.nonterminal;
-            form = a.Cex_srwalk.Walk.sentential_form;
-            deriv1 = a.Cex_srwalk.Walk.deriv1;
-            deriv2 = a.Cex_srwalk.Walk.deriv2 }
-        in
+      | Cex.Product_search.Unifying (u, _) -> (
         match Cex_validate.Oracle.check_unifying (Lazy.force oracle) u with
         | [] -> ()
         | codes ->
@@ -86,7 +74,7 @@ let check_conflict ~max_configs g lalr sr oracle problems counts name
             name c.Conflict.state
             (Cfg.Grammar.terminal_name g c.Conflict.terminal)
             (String.concat ", " codes))
-      | Cex_srwalk.Walk.Timeout _ | Cex_srwalk.Walk.Exhausted _ -> ()
+      | Cex.Product_search.Timeout _ | Cex.Product_search.Exhausted _ -> ()
     end
 
 let run ?(max_configs = default_max_configs) () =

@@ -109,8 +109,7 @@ let reuse_counterexample ~oracle ~remap session (new_conflict : Conflict.t)
             elapsed = 0.0;
             configs_explored = 0;
             failure = None;
-            validation = Cex.Driver.Validated;
-            engine = base_cr.Cex.Driver.engine }
+            validation = Cex.Driver.Validated }
       | _failures -> None))
   | _ -> None
 

@@ -38,9 +38,8 @@ val count : sink -> string -> string -> int -> unit
 
 val prefixed : string -> sink -> sink
 (** [prefixed p sink]: a sink that forwards every span and counter with [p]
-    prepended to the stage name. The driver wraps the engine-specific stages
-    this way (["product."] / ["srwalk."]) so per-engine medians never collide
-    in bench JSON; engine code emits bare stage names (["search"],
+    prepended to the stage name. The driver wraps the search stages this way
+    (["product."]); search code emits bare stage names (["search"],
     ["nonunifying"]) and stays namespace-agnostic. *)
 
 val timed : sink -> Clock.t -> string -> (unit -> 'a) -> 'a

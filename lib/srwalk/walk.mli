@@ -68,6 +68,5 @@ val search :
     deadline is checked on entry and polled every
     {!Cex_session.Deadline.poll_interval} nodes; expiry or exceeding
     [max_nodes] (default 400k) yields {!Timeout}. Emits [nodes_explored]
-    and [queue_pushes] counters for the ["search"] stage into [trace] —
-    callers namespace the sink ({!Cex_session.Trace.prefixed}) to keep
-    engines apart. *)
+    and [queue_pushes] counters for the ["search"] stage into [trace].
+    Outside this library, call it through {!Differential.search}. *)

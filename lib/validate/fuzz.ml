@@ -6,8 +6,6 @@ open Cfg
    by [Random.State.make [| seed |]] and by configuration budgets, never by
    wall-clock reads, so a seed reproduces bit-identically. *)
 
-type engines = Product_only | Both
-
 type config = {
   max_terminals : int;
   max_nonterminals : int;
@@ -17,7 +15,6 @@ type config = {
   baseline_bound : int;  (** sentence-length bound for the baselines *)
   baseline_max_forms : int;
   shrink_attempts : int;
-  engines : engines;  (** [Both] cross-checks product against srwalk *)
 }
 
 let default_config =
@@ -28,8 +25,7 @@ let default_config =
     max_configs = 20_000;
     baseline_bound = 8;
     baseline_max_forms = 200_000;
-    shrink_attempts = 200;
-    engines = Both }
+    shrink_attempts = 200 }
 
 (* ------------------------------------------------------------------ *)
 (* Grammar generation *)
@@ -174,33 +170,46 @@ let check_grammar config grammar =
      the product search on every conflict, and its counterexamples must
      satisfy the oracle too. Budgets are config counts, so both runs are
      deterministic and the comparison is machine-independent. *)
-  (if config.engines = Both && conflicts > 0 then
-     let sr_options =
-       { (driver_options config) with Cex.Driver.engine = Cex.Driver.Srwalk }
-     in
-     let sr_report =
-       Cex.Driver.analyze_session ~options:sr_options session
-     in
-     let sr_report = Oracle.validate_report oracle sr_report in
-     List.iter2
-       (fun (p : Cex.Driver.conflict_report)
-            (s : Cex.Driver.conflict_report) ->
-         (match s.Cex.Driver.validation with
-         | Cex.Driver.Validation_failed codes ->
-           problem "oracle rejected srwalk state %d terminal %d: %s"
-             s.Cex.Driver.conflict.Automaton.Conflict.state
-             s.Cex.Driver.conflict.Automaton.Conflict.terminal
-             (String.concat ", " codes)
-         | Cex.Driver.Validated | Cex.Driver.Not_validated -> ());
-         if p.Cex.Driver.outcome <> s.Cex.Driver.outcome then
+  (if conflicts > 0 then
+     let lalr = Cex_session.Session.lalr session in
+     let sr = Cex_srwalk.Sr_automaton.of_session session in
+     List.iter
+       (fun (p : Cex.Driver.conflict_report) ->
+         let c = p.Cex.Driver.conflict in
+         let state = c.Automaton.Conflict.state in
+         let terminal = c.Automaton.Conflict.terminal in
+         (* A conflict without a lookahead-sensitive path is a
+            [Search_timeout] for the driver, so it is one for the walk. *)
+         let walk_outcome =
+           match
+             Cex.Lookahead_path.find lalr ~conflict_state:state
+               ~reduce_item:(Automaton.Conflict.reduce_item c) ~terminal
+           with
+           | None -> Cex.Driver.Search_timeout
+           | Some path -> (
+             match
+               Cex_srwalk.Differential.search ~max_configs:config.max_configs
+                 sr ~conflict:c
+                 ~path_states:(Cex.Lookahead_path.states_on_path path)
+             with
+             | Cex.Product_search.Unifying (u, _) ->
+               (match Oracle.check_unifying oracle u with
+               | [] -> ()
+               | codes ->
+                 problem "oracle rejected srwalk state %d terminal %d: %s"
+                   state terminal (String.concat ", " codes));
+               Cex.Driver.Found_unifying
+             | Cex.Product_search.Exhausted _ -> Cex.Driver.No_unifying_exists
+             | Cex.Product_search.Timeout _ -> Cex.Driver.Search_timeout)
+         in
+         if p.Cex.Driver.outcome <> walk_outcome then
            problem
              "engine divergence at state %d terminal %d: product %s vs \
               srwalk %s"
-             p.Cex.Driver.conflict.Automaton.Conflict.state
-             p.Cex.Driver.conflict.Automaton.Conflict.terminal
+             state terminal
              (outcome_string p.Cex.Driver.outcome)
-             (outcome_string s.Cex.Driver.outcome))
-       report.Cex.Driver.conflict_reports sr_report.Cex.Driver.conflict_reports);
+             (outcome_string walk_outcome))
+       report.Cex.Driver.conflict_reports);
   { conflicts;
     unifying = Cex.Driver.n_unifying report;
     nonunifying = Cex.Driver.n_nonunifying report;

@@ -11,15 +11,13 @@
     - every unifying counterexample's ambiguity must be reproduced by
       {!Baselines.Brute_force} from the unifying nonterminal within the form's
       minimal expansion length;
-    - with [engines = Both] (the default), every conflict is also analyzed
-      by the SR-automaton walk ({!Cex_srwalk.Walk}); a differing verdict, or
-      a srwalk counterexample the oracle rejects, is a failure.
+    - every conflict is also decided by the SR-automaton walk
+      ({!Cex_srwalk.Differential}); a differing verdict, or a walk
+      counterexample the oracle rejects, is a failure.
 
     Search budgets are configuration counts, not wall-clock seconds, so a
     seed's outcome is machine-independent. Failing grammars are greedily
     shrunk before being reported. *)
-
-type engines = Product_only | Both
 
 type config = {
   max_terminals : int;
@@ -30,7 +28,6 @@ type config = {
   baseline_bound : int;  (** sentence-length bound for the baselines *)
   baseline_max_forms : int;
   shrink_attempts : int;
-  engines : engines;  (** [Both] cross-checks product against srwalk *)
 }
 
 val default_config : config

@@ -1,7 +1,7 @@
 let () =
   Alcotest.run "lrcex"
     [ Test_bitset.suite;
-      Test_pqueue.suite;
+      Test_bucket_queue.suite;
       Test_spec.suite;
       Test_analysis.suite;
       Test_lr0.suite;

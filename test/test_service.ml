@@ -226,7 +226,7 @@ let test_json_parser () =
 
 let golden =
   {|{
-  "schema_version": 6,
+  "schema_version": 7,
   "stats": {
     "jobs": 1,
     "grammars": 1,
@@ -318,7 +318,6 @@ let golden =
           "reduce_item": "stmt ::= IF expr THEN stmt •",
           "other_item": "stmt ::= IF expr THEN stmt • ELSE stmt",
           "outcome": "found_unifying",
-          "engine": "product",
           "elapsed": 0.0,
           "configs_explored": 135,
           "failure": null,

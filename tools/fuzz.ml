@@ -3,25 +3,16 @@
    search budgets are configuration counts, so output is stable across
    machines apart from nothing at all — timings are never printed. *)
 
-let usage = "fuzz [--seeds N] [--seed K] [--first K] [--engines both|product]"
+let usage = "fuzz [--seeds N] [--seed K] [--first K]"
 
 let () =
   let seeds = ref 200 in
   let first = ref 1 in
   let single = ref None in
-  let engines = ref Cex_validate.Fuzz.Both in
-  let set_engines = function
-    | "both" -> engines := Cex_validate.Fuzz.Both
-    | "product" -> engines := Cex_validate.Fuzz.Product_only
-    | s -> raise (Arg.Bad ("unknown --engines value " ^ s))
-  in
   let args =
     [ ("--seeds", Arg.Set_int seeds, "N  number of consecutive seeds (default 200)");
       ("--first", Arg.Set_int first, "K  first seed (default 1)");
-      ("--seed", Arg.Int (fun k -> single := Some k), "K  run exactly one seed");
-      ( "--engines", Arg.String set_engines,
-        "E  both: cross-check product vs srwalk (default); product: product \
-         search only" ) ]
+      ("--seed", Arg.Int (fun k -> single := Some k), "K  run exactly one seed") ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
   let seed_list =
@@ -29,11 +20,7 @@ let () =
     | Some k -> [ k ]
     | None -> List.init !seeds (fun i -> !first + i)
   in
-  let config =
-    { Cex_validate.Fuzz.default_config with
-      Cex_validate.Fuzz.engines = !engines }
-  in
-  let summary = Cex_validate.Fuzz.run ~config seed_list in
+  let summary = Cex_validate.Fuzz.run seed_list in
   Format.printf "%a@." Cex_validate.Fuzz.pp_summary summary;
   List.iter
     (fun f -> Format.printf "%a@." Cex_validate.Fuzz.pp_failure f)
