@@ -41,7 +41,7 @@ let pp_trace_section ppf metrics =
   if metrics <> [] then
     Fmt.pf ppf "@.[trace]@.%a@." Cex_session.Trace.pp_metrics metrics
 
-let run path options jobs conflict_jobs json trace lint lint_error validate
+let run path options jobs json trace lint lint_error validate
     show_states show_naive classify_lr1 show_resolved =
   match load_grammar path with
   | Error msg ->
@@ -53,17 +53,7 @@ let run path options jobs conflict_jobs json trace lint lint_error validate
     let diagnostics =
       if lint || lint_error then Some (Cex_lint.Lint.run table) else None
     in
-    (* Conflict-level fan-out: --conflict-jobs wins; otherwise inherit
-       --jobs; otherwise the whole machine. Reports are byte-identical at
-       any value, so auto is safe. *)
-    let conflict_jobs =
-      if conflict_jobs > 0 then conflict_jobs
-      else if jobs > 1 then jobs
-      else Cex_session.Pool.default_jobs ()
-    in
-    let report =
-      Cex.Driver.analyze_session ~options ~jobs:conflict_jobs session
-    in
+    let report = Cex.Driver.analyze_session ~options ~jobs session in
     let report =
       if validate then
         Cex_validate.Oracle.validate_report
@@ -642,21 +632,13 @@ let options_term =
   in
   Term.(const make $ timeout $ cumulative $ extended)
 
-let jobs_arg =
+(* Analyze defaults to every core (reports are byte-identical at any
+   value); batch, validate and serve default to one worker. *)
+let jobs_arg ~default =
   Arg.(
-    value & opt int 1
+    value & opt int default
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Analyze conflicts on $(docv) worker domains in parallel.")
-
-let conflict_jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "conflict-jobs" ] ~docv:"N"
-        ~doc:"Fan the conflicts of one grammar across $(docv) worker \
-              domains (the intra-grammar level of the two-level scheduler; \
-              reports are byte-identical at any value). 0 (the default) \
-              picks automatically: $(b,--jobs) if given, otherwise every \
-              core.")
 
 let json_arg =
   Arg.(
@@ -728,7 +710,8 @@ let analyze_term =
                 show the ambiguity each one silently settles.")
   in
   Term.(
-    const run $ path_arg $ options_term $ jobs_arg $ conflict_jobs_arg
+    const run $ path_arg $ options_term
+    $ jobs_arg ~default:(Cex_session.Pool.default_jobs ())
     $ json_arg $ trace_arg $ lint_arg $ lint_error_arg $ validate_arg
     $ states_arg $ naive_arg $ lr1_arg $ resolved_arg)
 
@@ -810,7 +793,7 @@ let batch_cmd =
     (Cmd.info "batch" ~doc)
     Term.(
       const run_batch $ paths_arg $ corpus_arg $ stress_arg $ options_term
-      $ jobs_arg $ json_arg $ trace_arg $ lint_arg $ lint_error_arg
+      $ jobs_arg ~default:1 $ json_arg $ trace_arg $ lint_arg $ lint_error_arg
       $ validate_arg $ cache_arg $ repeat_arg $ stream_arg $ window_arg
       $ shard_arg)
 
@@ -836,8 +819,8 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate" ~doc)
     Term.(
-      const run_validate $ paths_arg $ corpus_arg $ options_term $ jobs_arg
-      $ json_arg)
+      const run_validate $ paths_arg $ corpus_arg $ options_term
+      $ jobs_arg ~default:1 $ json_arg)
 
 let lint_cmd =
   let paths_arg =
@@ -922,8 +905,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run_serve $ socket_arg $ tcp_arg $ options_term $ jobs_arg
-      $ cache_arg $ shards_arg $ queue_arg)
+      const run_serve $ socket_arg $ tcp_arg $ options_term
+      $ jobs_arg ~default:1 $ cache_arg $ shards_arg $ queue_arg)
 
 let client_cmd =
   let script_arg =

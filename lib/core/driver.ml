@@ -237,44 +237,82 @@ let crashed_conflict_report session conflict exn backtrace =
          else Printexc.to_string exn ^ "\n" ^ backtrace);
     validation = Not_validated }
 
-let analyze_session ?(options = default_options) ?(jobs = 1) session =
-  let clock = Session.clock session in
-  let started = Clock.now clock in
-  let deadline = Deadline.budget clock options.cumulative_timeout in
-  let conflicts = Array.of_list (Session.conflicts session) in
-  let n = Array.length conflicts in
+(* The one conflict fan-out: every conflict of every session in one pool
+   run, under one cumulative budget per session. A task pulls its
+   (session, conflict) pair from the flattened index, so the pool balances
+   a batch's slow grammar against its fast ones; results land back in
+   per-session arrays in conflict order regardless of which domain ran
+   what. A crash in one task degrades to a [Search_crashed] report instead
+   of poisoning the run. *)
+let search_conflicts ?(options = default_options) ?(jobs = 1) ?on_dequeue
+    batch =
+  let budgets =
+    Array.map
+      (fun (session, _) ->
+        Deadline.budget (Session.clock session) options.cumulative_timeout)
+      batch
+  in
+  let tasks =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun s (_, conflicts) ->
+              Array.init (Array.length conflicts) (fun k -> (s, k)))
+            batch))
+  in
+  let n = Array.length tasks in
   (* Clamp like the pool will, so the per-task collector buffering below
      is only paid when domains will actually run concurrently. *)
   let jobs = Pool.clamp_jobs (min jobs (max 1 n)) in
-  (* One conflict per task, results collected by conflict index, so the
-     report order is the automaton order regardless of which domain ran
-     what. A crash in one task degrades to a [Search_crashed] report
-     instead of poisoning the whole session. *)
-  let task trace k =
-    let conflict = conflicts.(k) in
-    try analyze_conflict ~options ~deadline ?trace session conflict
-    with e ->
-      crashed_conflict_report session conflict e (Printexc.get_backtrace ())
+  (* Per-task collectors, merged in conflict order after the join: the
+     worker domains never contend on a session collector's lock, and the
+     merged totals are independent of domain scheduling. A session with an
+     external sink receives its tasks' emissions directly. *)
+  let locals =
+    Array.map
+      (fun (s, _) ->
+        if jobs > 1 && Session.has_private_collector (fst batch.(s)) then
+          Some (Trace.collector ())
+        else None)
+      tasks
   in
   let results =
-    if jobs > 1 && Session.has_private_collector session then begin
-      (* Per-task collectors, merged in conflict order after the join: the
-         worker domains never contend on the session collector's lock, and
-         the merged totals are independent of domain scheduling. *)
-      let locals = Array.init n (fun _ -> Trace.collector ()) in
-      let results =
-        Pool.run ~jobs n (fun k ->
-            task (Some (Trace.collector_sink locals.(k))) k)
-      in
-      Array.iter
-        (fun local -> Session.absorb_metrics session (Trace.metrics local))
-        locals;
-      results
-    end
-    else Pool.run ~jobs n (task None)
+    Pool.run ?on_dequeue ~jobs n (fun i ->
+        let s, k = tasks.(i) in
+        let session, conflicts = batch.(s) in
+        let conflict = conflicts.(k) in
+        let trace = Option.map Trace.collector_sink locals.(i) in
+        try
+          analyze_conflict ~options ~deadline:budgets.(s) ?trace session
+            conflict
+        with e ->
+          crashed_conflict_report session conflict e
+            (Printexc.get_backtrace ()))
   in
+  Array.iteri
+    (fun i local ->
+      Option.iter
+        (fun local ->
+          let session, _ = batch.(fst tasks.(i)) in
+          Session.absorb_metrics session (Trace.metrics local))
+        local)
+    locals;
+  let first = ref 0 in
+  Array.map
+    (fun (_, conflicts) ->
+      let m = Array.length conflicts in
+      let reports = Array.sub results !first m in
+      first := !first + m;
+      reports)
+    batch
+
+let analyze_session ?options ?jobs session =
+  let clock = Session.clock session in
+  let started = Clock.now clock in
+  let conflicts = Array.of_list (Session.conflicts session) in
+  let reports = search_conflicts ?options ?jobs [| (session, conflicts) |] in
   { table = Session.table session;
-    conflict_reports = Array.to_list results;
+    conflict_reports = Array.to_list reports.(0);
     total_elapsed = Clock.now clock -. started;
     metrics = Session.metrics session }
 

@@ -34,8 +34,8 @@ type outcome =
   | Skipped_search  (** cumulative budget exceeded before this conflict *)
   | Search_crashed
       (** the search raised; the exception (with backtrace) is in
-          [failure]. Produced only by the batch scheduler's per-conflict
-          crash conversion, never by {!analyze_conflict} itself. *)
+          [failure]. Produced only by the crash conversion of
+          {!search_conflicts}, never by {!analyze_conflict} itself. *)
 
 type counterexample =
   | Unifying of Product_search.unifying
@@ -79,21 +79,39 @@ val analyze : ?options:options -> ?jobs:int -> Cfg.Grammar.t -> report
 
 val analyze_session :
   ?options:options -> ?jobs:int -> Cex_session.Session.t -> report
-(** Analyze every conflict of the session under a fresh cumulative
-    {!Cex_session.Deadline.budget} of [options.cumulative_timeout] seconds
-    of consumed search time.
+(** {!search_conflicts} over every conflict of the session, assembled into
+    a report in conflict order. [total_elapsed] is the wall time of the
+    whole fan-out on the session's clock. *)
 
-    [jobs] (default 1) is the conflict-level fan-out: with [jobs > 1] the
-    conflicts are spawned as tasks across that many domains, sharing the
-    single cumulative budget and the session's memoized search structures.
-    Reports are collected by conflict index, so the report order — and,
-    because the memoized shortest paths are deterministic, every
-    non-timing field of every report — is identical at any jobs count.
-    Per-task metric collectors are merged into the session's collector in
-    conflict order after the join.
+val search_conflicts :
+  ?options:options ->
+  ?jobs:int ->
+  ?on_dequeue:(int -> unit) ->
+  (Cex_session.Session.t * Conflict.t array) array ->
+  conflict_report array array
+(** The one conflict fan-out of the system: batch windows, the server's
+    delta path and {!analyze_session} all search conflicts through it.
+    [search_conflicts batch] runs {!analyze_conflict} on every conflict of
+    every [(session, conflicts)] pair in one {!Cex_session.Pool.run} of
+    [jobs] (default 1) domains and returns the reports indexed as the
+    input: [(search_conflicts batch).(s).(k)] answers
+    [(snd batch.(s)).(k)].
+
+    Each session gets one cumulative {!Cex_session.Deadline.budget} of
+    [options.cumulative_timeout] seconds of consumed search time, on its
+    own clock and shared by all its conflicts whichever domain runs them.
+    Because the memoized shortest paths are deterministic, every
+    non-timing field of every report is identical at any jobs count.
+
+    With [jobs > 1], each task of a session with a private collector
+    records into its own trace collector; those are merged into the
+    session's collector in conflict order after the join, so metric totals
+    are independent of domain scheduling. A session with an external sink
+    receives the emissions directly.
 
     A conflict whose search raises yields a {!Search_crashed} report (at
-    any jobs count) instead of aborting the session. *)
+    any jobs count) and leaves every other conflict, of its session or any
+    other, untouched. [on_dequeue] is the pool's queue-depth gauge. *)
 
 val analyze_conflict :
   ?options:options ->
@@ -114,7 +132,7 @@ val analyze_conflict :
     {!Skipped_search}.
 
     [trace] overrides the session's sink for this conflict's spans and
-    counters (the parallel driver passes per-task collectors). The search
+    counters ({!search_conflicts} passes per-task collectors). The search
     stages are namespaced through {!Cex_session.Trace.prefixed} as
     ["product.search"] and ["product.nonunifying"], and carry an
     ["alloc_words"] counter with the [Gc.minor_words] delta of the search;
@@ -130,9 +148,9 @@ val crashed_conflict_report :
   string ->
   conflict_report
 (** [crashed_conflict_report session conflict exn backtrace]: the
-    {!Search_crashed} report the scheduler substitutes for a conflict whose
-    worker raised, so one poisoned conflict degrades to a per-item error
-    instead of aborting the batch. *)
+    {!Search_crashed} report {!search_conflicts} substitutes for a conflict
+    whose task raised, so one poisoned conflict degrades to a per-item
+    error instead of aborting the batch. *)
 
 val grammar : report -> Cfg.Grammar.t
 val n_unifying : report -> int

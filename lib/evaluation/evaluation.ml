@@ -27,10 +27,7 @@ let run_row ?(options = Cex.Driver.default_options) ?(with_baseline = false)
   let session = Cex_session.Session.create g in
   let table = Cex_session.Session.table session in
   let lalr = Cex_session.Session.lalr session in
-  let report =
-    if jobs <= 1 then Cex.Driver.analyze_session ~options session
-    else Cex_service.Scheduler.analyze_session ~options ~jobs session
-  in
+  let report = Cex.Driver.analyze_session ~options ~jobs session in
   let analysis = Lalr.analysis lalr in
   let misleading_naive =
     List.length
@@ -78,8 +75,10 @@ let run_rows ?options ?with_baseline ?baseline_budget ?(jobs = 1) ?on_row
     Option.iter (fun f -> f r) on_row;
     r
   in
-  if jobs <= 1 then List.map row entries
-  else Cex_service.Scheduler.map ~jobs row entries
+  let entries = Array.of_list entries in
+  Array.to_list
+    (Cex_session.Pool.run ~jobs (Array.length entries) (fun i ->
+         row entries.(i)))
 
 (* ------------------------------------------------------------------ *)
 

@@ -25,8 +25,8 @@ val run_row :
   ?jobs:int ->
   Corpus.entry ->
   row
-(** [jobs > 1] fans the entry's conflicts out to a
-    {!Cex_service.Scheduler} worker pool. *)
+(** [jobs] (default 1) fans the entry's conflicts out through
+    {!Cex.Driver.analyze_session}. *)
 
 val run_rows :
   ?options:Cex.Driver.options ->
@@ -36,10 +36,11 @@ val run_rows :
   ?on_row:(row -> unit) ->
   Corpus.entry list ->
   row list
-(** Whole-table runner. [jobs > 1] computes rows in parallel (each row's
-    conflicts sequential, so per-row timings stay comparable); [on_row] is
-    called as each row completes — from worker domains when parallel, so it
-    must be thread-safe. Rows come back in input order. *)
+(** Whole-table runner. [jobs > 1] computes rows in parallel on the
+    {!Cex_session.Pool} (each row's conflicts sequential, so per-row
+    timings stay comparable); [on_row] is called as each row completes —
+    from worker domains when parallel, so it must be thread-safe. Rows come
+    back in input order. *)
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> row -> unit

@@ -4,7 +4,6 @@ module Cache = Cex_service.Cache
 module Session = Cex_session.Session
 module Delta = Cex_session.Delta
 module Clock = Cex_session.Clock
-module Deadline = Cex_session.Deadline
 module Trace = Cex_session.Trace
 module Oracle = Cex_validate.Oracle
 module Stats = Cex_service.Stats
@@ -113,13 +112,6 @@ let reuse_counterexample ~oracle ~remap session (new_conflict : Conflict.t)
       | _failures -> None))
   | _ -> None
 
-(* Mirror of the scheduler's per-conflict crash isolation. *)
-let protected_conflict ~options ~deadline session conflict =
-  try Cex.Driver.analyze_conflict ~options ~deadline session conflict
-  with e ->
-    let backtrace = Printexc.get_backtrace () in
-    Cex.Driver.crashed_conflict_report session conflict e backtrace
-
 (* ------------------------------------------------------------------ *)
 
 (* Conflict tasks actually dispatched to the search fan-out: report-cache
@@ -131,7 +123,7 @@ let note_tasks stats n =
 
 let analyze_hot ~options ~jobs ?stats t session digest served =
   note_tasks stats (List.length (Session.conflicts session));
-  let report = Scheduler.analyze_session ~options ~jobs session in
+  let report = Cex.Driver.analyze_session ~options ~jobs session in
   Scheduler.store_report t.scheduler digest report;
   (report, digest, served)
 
@@ -201,39 +193,32 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
         | None -> None)
       conflicts
   in
-  let deadline =
-    Deadline.budget clock options.Cex.Driver.cumulative_timeout
+  (* Only the conflicts no base counterexample covers are searched, in
+     one fan-out under the session's cumulative budget. *)
+  let fresh =
+    Array.of_list
+      (List.filteri (fun i _ -> Option.is_none reused.(i))
+         (Array.to_list conflicts))
   in
-  let fresh_jobs =
-    Array.to_list
-      (Array.mapi
-         (fun i conflict ->
-           match reused.(i) with Some _ -> None | None -> Some (i, conflict))
-         conflicts)
-    |> List.filter_map Fun.id
+  let n_searched = Array.length fresh in
+  note_tasks stats n_searched;
+  let searched =
+    (Cex.Driver.search_conflicts ~options ~jobs [| (session, fresh) |]).(0)
   in
-  note_tasks stats (List.length fresh_jobs);
-  let fresh_crs =
-    Scheduler.map ~jobs
-      (fun (i, conflict) ->
-        (i, protected_conflict ~options ~deadline session conflict))
-      fresh_jobs
-  in
+  let next = ref 0 in
   let crs =
-    Array.mapi
-      (fun i reused_cr ->
-        match reused_cr with
+    Array.map
+      (function
         | Some cr -> cr
-        | None -> List.assoc i fresh_crs)
+        | None ->
+          let cr = searched.(!next) in
+          incr next;
+          cr)
       reused
   in
-  let n_reused =
-    Array.fold_left
-      (fun n r -> if Option.is_some r then n + 1 else n)
-      0 reused
-  in
+  let n_reused = Array.length conflicts - n_searched in
   Trace.count trace "delta" "reused_conflicts" n_reused;
-  Trace.count trace "delta" "searched_conflicts" (List.length fresh_jobs);
+  Trace.count trace "delta" "searched_conflicts" n_searched;
   let report =
     { Cex.Driver.table = Session.table session;
       conflict_reports = Array.to_list crs;
@@ -250,7 +235,7 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
         seeded_nonterminals;
         total_nonterminals;
         reused_conflicts = n_reused;
-        searched_conflicts = List.length fresh_jobs } )
+        searched_conflicts = n_searched } )
 
 let analyze_cold ~options ~jobs ?stats t g digest =
   let clock = Scheduler.clock t.scheduler in

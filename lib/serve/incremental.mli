@@ -16,6 +16,12 @@
       the conflict reuse above still applies);
     + {e cold} — build everything from scratch.
 
+    Every path that searches conflicts goes through
+    {!Cex.Driver.search_conflicts}: the hot and cold paths via
+    {!Cex.Driver.analyze_session}, the delta path directly with only the
+    conflicts it did not reuse. Budget, crash isolation and trace merging
+    are therefore the driver's on every path.
+
     Reuse invariants (also documented in DESIGN.md §14):
 
     - only [Found_unifying] outcomes are reused — a unifying counterexample

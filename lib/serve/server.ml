@@ -63,7 +63,7 @@ let conflicts_json report =
 
 let cross_check t ~options report g =
   let fresh = Session.create ~clock:t.clock g in
-  let cold_report = Scheduler.analyze_session ~options ~jobs:t.jobs fresh in
+  let cold_report = Cex.Driver.analyze_session ~options ~jobs:t.jobs fresh in
   let a = conflicts_json report and b = conflicts_json cold_report in
   let equal = String.equal (Json.to_string ~minify:true a) (Json.to_string ~minify:true b) in
   Json.Obj

@@ -1,62 +1,9 @@
 module Session = Cex_session.Session
 module Clock = Cex_session.Clock
-module Deadline = Cex_session.Deadline
 module Trace = Cex_session.Trace
-
-let default_jobs () = Cex_session.Pool.default_jobs ()
-
-(* ------------------------------------------------------------------ *)
-(* Worker pool: the shared domain pool, with queue depths recorded into the
-   run's stats. *)
-
-let run_pool ?stats ~jobs n (f : int -> 'a) : 'a array =
-  let on_dequeue =
-    match stats with
-    | Some st -> Some (fun depth -> Stats.note_queue_depth st depth)
-    | None -> None
-  in
-  Cex_session.Pool.run ?on_dequeue ~jobs n f
-
-let map ?(jobs = default_jobs ()) f xs =
-  let arr = Array.of_list xs in
-  Array.to_list (run_pool ~jobs (Array.length arr) (fun i -> f arr.(i)))
-
-(* ------------------------------------------------------------------ *)
 
 let search_seconds crs =
   Array.fold_left (fun t cr -> t +. cr.Cex.Driver.elapsed) 0.0 crs
-
-(* A crash while searching one conflict must not abort the pool (which
-   would lose every completed result of the batch): convert it into a
-   structured per-conflict error report. The exception text and backtrace
-   travel in the report's [failure] field, so they surface in the JSON
-   document instead of killing the process. *)
-let protected_conflict ~options ~deadline session conflict =
-  try Cex.Driver.analyze_conflict ~options ~deadline session conflict
-  with e ->
-    let backtrace = Printexc.get_backtrace () in
-    Cex.Driver.crashed_conflict_report session conflict e backtrace
-
-let analyze_session ?(options = Cex.Driver.default_options)
-    ?(jobs = default_jobs ()) ?stats session =
-  let n = List.length (Session.conflicts session) in
-  (* The conflict-level fan-out itself (shared budget, per-task crash
-     conversion, deterministic report order, per-task trace merging) lives
-     in [Driver.analyze_session]; this wrapper only records the service
-     stats around it. *)
-  (match stats with
-  | Some st ->
-    Stats.note_queue_depth st n;
-    Stats.add_conflicts st n;
-    Stats.add_conflict_tasks st n
-  | None -> ());
-  let report = Cex.Driver.analyze_session ~options ~jobs session in
-  (match stats with
-  | Some st ->
-    Stats.add_stage st "conflict_search"
-      (search_seconds (Array.of_list report.Cex.Driver.conflict_reports))
-  | None -> ());
-  report
 
 (* ------------------------------------------------------------------ *)
 (* The batch service. *)
@@ -69,7 +16,8 @@ type t = {
   reports : Cex.Driver.report Cache.t;
 }
 
-let create ?(options = Cex.Driver.default_options) ?(jobs = default_jobs ())
+let create ?(options = Cex.Driver.default_options)
+    ?(jobs = Cex_session.Pool.default_jobs ())
     ?(cache_capacity = 128) ?(cache_shards = 1) ?(clock = Clock.system) () =
   { options;
     jobs = max 1 jobs;
@@ -128,10 +76,8 @@ let default_window = 32
 (* Phase-1 classification of a window entry. *)
 type fresh = {
   session : Session.t;
-  deadline : Deadline.t;
   table_seconds : float;
-  conflicts : Automaton.Conflict.t array;
-  first_job : int;  (* offset into the window's flattened conflict jobs *)
+  index : int;  (* position in the window's conflict fan-out *)
 }
 
 type prepared =
@@ -145,7 +91,7 @@ let process_window t ~stats ~emit entries =
      [seen_fresh] maps a digest to its window slot, so an intra-window
      duplicate is an O(1) array lookup later — never a list traversal. *)
   let seen_fresh : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let next_job = ref 0 in
+  let fresh = ref [] in
   let prepared =
     Array.of_list
       (List.mapi
@@ -172,17 +118,10 @@ let process_window t ~stats ~emit entries =
                  Stats.add_stage stats "table_build" table_seconds;
                  let conflicts = Array.of_list (Session.conflicts session) in
                  Stats.add_conflicts stats (Array.length conflicts);
+                 let index = Hashtbl.length seen_fresh in
                  Hashtbl.add seen_fresh digest slot;
-                 let first_job = !next_job in
-                 next_job := !next_job + Array.length conflicts;
-                 Fresh
-                   { session;
-                     deadline =
-                       Deadline.budget t.clock
-                         t.options.Cex.Driver.cumulative_timeout;
-                     table_seconds;
-                     conflicts;
-                     first_job })
+                 fresh := (session, conflicts) :: !fresh;
+                 Fresh { session; table_seconds; index })
            in
            (name, digest, prep))
          entries)
@@ -190,40 +129,23 @@ let process_window t ~stats ~emit entries =
   Stats.note_live_sessions stats (Hashtbl.length seen_fresh);
   (* Phase 2: one conflict-level fan-out across the window's fresh
      grammars. *)
-  let job_table = Array.make !next_job None in
-  Array.iter
-    (fun (_, _, prep) ->
-      match prep with
-      | Fresh f ->
-        Array.iteri
-          (fun k c -> job_table.(f.first_job + k) <- Some (f, c))
-          f.conflicts
-      | Cached _ | Duplicate _ -> ())
-    prepared;
-  Stats.add_conflict_tasks stats (Array.length job_table);
+  let batch = Array.of_list (List.rev !fresh) in
+  Stats.add_conflict_tasks stats
+    (Array.fold_left (fun n (_, cs) -> n + Array.length cs) 0 batch);
   let crs =
-    run_pool ~stats ~jobs:t.jobs (Array.length job_table) (fun i ->
-        let f, conflict = Option.get job_table.(i) in
-        protected_conflict ~options:t.options ~deadline:f.deadline f.session
-          conflict)
+    Cex.Driver.search_conflicts ~options:t.options ~jobs:t.jobs
+      ~on_dequeue:(Stats.note_queue_depth stats) batch
   in
-  Stats.add_stage stats "conflict_search" (search_seconds crs);
+  Stats.add_stage stats "conflict_search"
+    (Array.fold_left (fun t crs -> t +. search_seconds crs) 0.0 crs);
   (* Phase 3 (sequential): assemble each fresh report exactly once, fill
      the report cache, and emit in input order. Duplicates reuse the
      already-assembled (physically shared) report of their fresh twin. *)
   let finish_fresh f =
-    let conflict_reports =
-      Array.to_list
-        (Array.init (Array.length f.conflicts) (fun k ->
-             crs.(f.first_job + k)))
-    in
+    let conflict_reports = crs.(f.index) in
     { Cex.Driver.table = Session.table f.session;
-      conflict_reports;
-      total_elapsed =
-        f.table_seconds
-        +. List.fold_left
-             (fun t cr -> t +. cr.Cex.Driver.elapsed)
-             0.0 conflict_reports;
+      conflict_reports = Array.to_list conflict_reports;
+      total_elapsed = f.table_seconds +. search_seconds conflict_reports;
       metrics = Session.metrics f.session }
   in
   let finished =

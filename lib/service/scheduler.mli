@@ -1,47 +1,22 @@
-(** Parallel conflict scheduler: the batch analysis service's execution
-    engine.
+(** The batch analysis service: content-addressed session and report
+    caches in front of the conflict fan-out.
 
     Conflict-driven counterexample search is embarrassingly parallel at the
-    conflict level: once the session's LALR automaton is built, each
+    conflict level: once a session's LALR automaton is built, each
     [(state, item, terminal)] conflict search (paper sections 4 and 5) only
-    reads the immutable {!Cex_session.Session.t}, so conflicts fan out
-    safely across an OCaml 5 [Domain] worker pool. Whole grammars fan out
-    the same way in batch mode, after a sequential session-build phase that
-    goes through the content-addressed {!Cache}.
+    reads the immutable {!Cex_session.Session.t}. The scheduler streams
+    grammars in windows: each window's sessions are built sequentially
+    through the {!Cache}, then every conflict of every fresh grammar in the
+    window goes to {!Cex.Driver.search_conflicts} in one call, so a grammar
+    with 700 conflicts keeps all workers busy instead of serializing
+    behind one slow grammar.
 
-    Budget semantics: the cumulative timeout is a
-    {!Cex_session.Deadline.budget} of {e search time consumed}, shared by
-    every worker through the driver — before each conflict
-    {!Cex.Driver.analyze_conflict} clamps its per-conflict deadline to the
-    budget still unspent and consumes the conflict's elapsed time
-    afterwards. Once the budget is exhausted, remaining conflicts skip the
-    unifying search and degrade gracefully to nonunifying counterexamples.
-    With [jobs = 1] this coincides with the sequential
-    {!Cex.Driver.analyze_session}; with more workers it bounds total work
-    rather than wall time, keeping outcomes independent of worker
-    interleaving. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count], the whole machine. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over a worker pool of [jobs] domains
-    (including the calling one). A worker's exception aborts the remaining
-    items and is re-raised in the caller after the pool drains. *)
-
-val analyze_session :
-  ?options:Cex.Driver.options ->
-  ?jobs:int ->
-  ?stats:Stats.t ->
-  Cex_session.Session.t ->
-  Cex.Driver.report
-(** {!Cex.Driver.analyze_session} with the service defaults ([jobs]
-    defaults to the whole machine) plus stats recording: conflict and
-    conflict-task counts, queue depth, and a ["conflict_search"] stage with
-    the summed per-conflict elapsed time. The fan-out itself — shared
-    budget, deterministic report order, per-task crash conversion into
-    {!Cex.Driver.Search_crashed} reports, per-task trace merging — is the
-    driver's. *)
+    Budgets, crash isolation and trace merging are the driver's: each
+    grammar gets one cumulative {!Cex_session.Deadline.budget} of
+    {e search time consumed}, shared by all its conflicts whichever domain
+    runs them, so outcomes do not depend on worker interleaving. A fresh
+    report equals {!Cex.Driver.analyze_session} on the same grammar at the
+    same jobs count, timings aside. *)
 
 (** {1 The batch service} *)
 

@@ -11,9 +11,9 @@ type summary = {
   grammars : int;
   conflicts : int;
   conflict_tasks : int;
-      (** conflict-level work items dispatched to the domain pool — the
-          two-level scheduler's unit of work (one per conflict of every
-          freshly analyzed grammar; cached reports dispatch none) *)
+      (** conflict searches dispatched to
+          {!Cex.Driver.search_conflicts} (one per conflict of every freshly
+          analyzed grammar; cached reports dispatch none) *)
   wall_seconds : float;  (** creation to {!finish} *)
   max_queue_depth : int;  (** largest pending-job backlog observed *)
   max_live_sessions : int;

@@ -1,8 +1,7 @@
-(* Shared domain-pool primitive for both fan-out levels: the service
-   scheduler's grammar/conflict batches and the driver's intra-session
-   conflict fan-out. Workers pull indices from an atomic counter, so the
-   assignment of items to domains is dynamic but the result array is
-   indexed — callers get deterministic output order for free. *)
+(* Shared domain-pool primitive: the driver's conflict fan-out and the
+   evaluation's Table 1 rows. Workers pull indices from an atomic counter,
+   so the assignment of items to domains is dynamic but the result array
+   is indexed — callers get deterministic output order for free. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 

@@ -107,47 +107,49 @@ let test_determinism () =
     "jobs=1 and jobs=4 agree on every outcome and counterexample" sequential
     parallel
 
-let test_scheduler_matches_driver () =
-  let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure1 in
-  let normalize r =
-    Cex_service.Json.to_string
-      (Cex_service.Json.map_floats
-         (fun _ -> 0.0)
-         (Cex_service.Json_report.report_to_json r))
-  in
-  (* Two independent sessions of the same grammar: the trace collectors are
-     per-session, so the metrics objects (deterministic span and counter
-     totals) must agree too. *)
-  Alcotest.(check string)
-    "parallel analyze_session equals the sequential driver"
-    (normalize
-       (Cex.Driver.analyze_session (Cex_session.Session.create g)))
-    (normalize
-       (Cex_service.Scheduler.analyze_session ~jobs:4
-          (Cex_session.Session.create g)))
+let zeroed_json report =
+  Cex_service.Json.to_string
+    (Cex_service.Json.map_floats
+       (fun _ -> 0.0)
+       (Cex_service.Json_report.report_to_json report))
 
-(* A worker crash mid-search becomes a structured Search_crashed report for
-   that conflict instead of killing the whole batch; the injected trace sink
-   raises from inside the product search, where only a conflict analysis
-   (never session construction) can trigger it. *)
-let test_crash_becomes_outcome () =
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
+(* The batch path searches a whole window's conflicts in one fan-out; each
+   grammar's report must still equal the driver's on a fresh session of its
+   own, metrics included (both run per-task collectors at jobs 2). *)
+let test_scheduler_matches_driver () =
+  let entries =
+    List.map
+      (fun name -> (name, Corpus.grammar (Corpus.find name)))
+      [ "figure1"; "SQL.1"; "SQL.3"; "stackovf10"; "C.2"; "Pascal.1" ]
   in
-  let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure1 in
-  let bomb =
-    Cex_session.Trace.make
-      ~on_span:(fun _ _ -> ())
-      ~on_count:(fun stage _ _ ->
-        if stage = "product.search" then failwith "injected crash")
+  let service = Cex_service.Scheduler.create ~jobs:2 () in
+  let results, _ =
+    Cex_service.Scheduler.analyze_batch ~window:(List.length entries) service
+      entries
   in
-  let session = Cex_session.Session.create ~trace:bomb g in
-  let report = Cex_service.Scheduler.analyze_session ~jobs:2 session in
-  let n = List.length report.Cex.Driver.conflict_reports in
-  Alcotest.(check bool) "figure1 has conflicts" true (n > 0);
-  Alcotest.(check int) "every conflict crashed" n (Cex.Driver.n_crashed report);
+  List.iter2
+    (fun (name, g) (r : Cex_service.Scheduler.batch_result) ->
+      Alcotest.(check string)
+        (name ^ ": batch window equals the driver")
+        (zeroed_json
+           (Cex.Driver.analyze_session ~jobs:2 (Cex_session.Session.create g)))
+        (zeroed_json r.Cex_service.Scheduler.report))
+    entries results
+
+(* A trace sink that raises from inside the product search, where only a
+   conflict analysis (never session construction) can trigger it. *)
+let bomb =
+  Cex_session.Trace.make
+    ~on_span:(fun _ _ -> ())
+    ~on_count:(fun stage _ _ ->
+      if stage = "product.search" then failwith "injected crash")
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let check_all_crashed crs =
   List.iter
     (fun (cr : Cex.Driver.conflict_report) ->
       Alcotest.(check bool) "outcome is Search_crashed" true
@@ -157,19 +159,54 @@ let test_crash_becomes_outcome () =
         Alcotest.(check bool) "failure names the exception" true
           (contains ~sub:"injected crash" msg)
       | None -> Alcotest.fail "crashed report carries no failure")
-    report.Cex.Driver.conflict_reports
+    crs
+
+(* A worker crash mid-search becomes a structured Search_crashed report for
+   that conflict instead of killing the whole batch. *)
+let test_crash_becomes_outcome () =
+  let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure1 in
+  let session = Cex_session.Session.create ~trace:bomb g in
+  let report = Cex.Driver.analyze_session ~jobs:2 session in
+  let n = List.length report.Cex.Driver.conflict_reports in
+  Alcotest.(check bool) "figure1 has conflicts" true (n > 0);
+  Alcotest.(check int) "every conflict crashed" n (Cex.Driver.n_crashed report);
+  check_all_crashed report.Cex.Driver.conflict_reports
+
+(* Crashes stay inside their session: in one fan-out next to a crashing
+   session, a normal session's reports are exactly its own analysis. *)
+let test_crash_stays_in_session () =
+  let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure1 in
+  let session_conflicts s =
+    (s, Array.of_list (Cex_session.Session.conflicts s))
+  in
+  let bombed = Cex_session.Session.create ~trace:bomb g in
+  let normal = Cex_session.Session.create g in
+  let crs =
+    Cex.Driver.search_conflicts ~jobs:2
+      [| session_conflicts bombed; session_conflicts normal |]
+  in
+  check_all_crashed (Array.to_list crs.(0));
+  let report =
+    { Cex.Driver.table = Cex_session.Session.table normal;
+      conflict_reports = Array.to_list crs.(1);
+      total_elapsed = 0.0;
+      metrics = Cex_session.Session.metrics normal }
+  in
+  Alcotest.(check string) "the normal session is untouched"
+    (zeroed_json
+       (Cex.Driver.analyze_session ~jobs:2 (Cex_session.Session.create g)))
+    (zeroed_json report)
 
 let test_map_order_and_errors () =
-  let doubled = Cex_service.Scheduler.map ~jobs:3 (fun x -> 2 * x)
-      [ 5; 1; 4; 1; 3 ] in
-  Alcotest.(check (list int)) "order preserved" [ 10; 2; 8; 2; 6 ] doubled;
+  let xs = [| 5; 1; 4; 1; 3 |] in
+  Alcotest.(check (array int)) "order preserved" [| 10; 2; 8; 2; 6 |]
+    (Cex_session.Pool.run ~jobs:3 (Array.length xs) (fun i -> 2 * xs.(i)));
   Alcotest.check_raises "worker exceptions surface in the caller"
     (Failure "boom")
     (fun () ->
       ignore
-        (Cex_service.Scheduler.map ~jobs:2
-           (fun x -> if x = 2 then failwith "boom" else x)
-           [ 1; 2; 3 ]))
+        (Cex_session.Pool.run ~jobs:2 3 (fun i ->
+             if i = 1 then failwith "boom" else i)))
 
 (* ------------------------------------------------------------------ *)
 (* JSON. *)
@@ -573,6 +610,8 @@ let suite =
         test_scheduler_matches_driver;
       Alcotest.test_case "crash-becomes-outcome" `Quick
         test_crash_becomes_outcome;
+      Alcotest.test_case "crash-stays-in-session" `Quick
+        test_crash_stays_in_session;
       Alcotest.test_case "map-order-and-errors" `Quick
         test_map_order_and_errors;
       Alcotest.test_case "json-emitter" `Quick test_json_emitter;
