@@ -183,155 +183,160 @@ let can_lead_to ctx p t =
   nullable || Bitset.mem set t
 
 (* The terminal the product parser will consume next, if it is already
-   determined by the other side's last item. *)
+   determined by the other side's last item; [-1] when it is not. *)
 let next_terminal_hint ctx other_last =
   match next_of ctx other_last with
-  | Some (Symbol.Terminal t) -> Some t
-  | Some (Symbol.Nonterminal _) | None -> None
+  | Some (Symbol.Terminal t) -> t
+  | Some (Symbol.Nonterminal _) | None -> -1
 
 (* ------------------------------------------------------------------ *)
-(* Successor moves. Each returns (cost delta, new config). *)
+(* Successor moves.
 
-let forward_transition ctx cfg =
+   The queue holds moves, not configurations. A move function checks its
+   preconditions on the parent configuration, computes the move's cost (the
+   queue priority) and emits a [move]: the parent plus the few integers that
+   determine the successor. [build] makes the successor configuration only
+   when the queue pops the move. A successor that is never popped, because
+   the search stopped first, never allocates its sequences or derivations. *)
+
+type move =
+  | Initial of config
+  | Forward of config * int * int  (* successor states of the two sides *)
+  | Production of config * int * int  (* side, dot-0 entry to append *)
+  | Reduce of config * int  (* side *)
+  | Reverse_transition of config * int  (* predecessor state *)
+  | Reverse_production of config * int * int  (* side, context entry to prepend *)
+
+let bump a = if a < 0 then a else a + 1
+
+(* Forward transition (paper, Fig. 10(a)): both sides advance over the same
+   symbol. Before the conflict terminal is consumed, only it may be shifted. *)
+let forward_transition ctx cfg emit =
   let l1 = vec_last cfg.seq1 and l2 = vec_last cfg.seq2 in
   match next_of ctx l1, next_of ctx l2 with
-  | Some z1, Some z2 when Symbol.equal z1 z2 ->
-    let allowed =
-      cfg.shifted_conflict
-      || Symbol.equal z1 (Symbol.Terminal ctx.terminal)
-    in
-    if not allowed then []
-    else begin
-      match
-        Lr0.transition ctx.lr0 (state_of ctx l1) z1,
-        Lr0.transition ctx.lr0 (state_of ctx l2) z1
-      with
-      | Some s1', Some s2' ->
-        let leaf = Derivation.leaf z1 in
-        [ ( ctx.costs.transition,
-            { cfg with
-              seq1 = vec_append cfg.seq1 (pack ctx s1' (id_of ctx l1 + 1));
-              derivs1 = darr_append cfg.derivs1 leaf;
-              seq2 = vec_append cfg.seq2 (pack ctx s2' (id_of ctx l2 + 1));
-              derivs2 = darr_append cfg.derivs2 leaf;
-              shifted_conflict = true } ) ]
-      | None, _ | _, None -> []
-    end
-  | _, _ -> []
+  | Some z1, Some z2
+    when Symbol.equal z1 z2
+         && (cfg.shifted_conflict
+            || match z1 with
+               | Symbol.Terminal t -> t = ctx.terminal
+               | Symbol.Nonterminal _ -> false) -> (
+    match
+      Lr0.transition ctx.lr0 (state_of ctx l1) z1,
+      Lr0.transition ctx.lr0 (state_of ctx l2) z1
+    with
+    | Some s1', Some s2' -> emit ctx.costs.transition (Forward (cfg, s1', s2'))
+    | None, _ | _, None -> ())
+  | _, _ -> ()
 
-let forward_production_steps ctx cfg ~side =
+let build_forward ctx cfg s1' s2' =
+  let l1 = vec_last cfg.seq1 and l2 = vec_last cfg.seq2 in
+  let leaf = Derivation.leaf (Option.get (next_of ctx l1)) in
+  { cfg with
+    seq1 = vec_append cfg.seq1 (pack ctx s1' (id_of ctx l1 + 1));
+    derivs1 = darr_append cfg.derivs1 leaf;
+    seq2 = vec_append cfg.seq2 (pack ctx s2' (id_of ctx l2 + 1));
+    derivs2 = darr_append cfg.derivs2 leaf;
+    shifted_conflict = true }
+
+(* Forward production step (paper, Fig. 10(b)). *)
+let forward_production_steps ctx cfg ~side emit =
   let seq = if side = 1 then cfg.seq1 else cfg.seq2 in
   let l = vec_last seq in
   (* If the other side already fixes the next terminal, only expansions that
      can start with it (or vanish) are worth taking. *)
   let other_hint =
-    if not cfg.shifted_conflict then Some ctx.terminal
+    if not cfg.shifted_conflict then ctx.terminal
     else
       next_terminal_hint ctx
         (vec_last (if side = 1 then cfg.seq2 else cfg.seq1))
   in
   match next_of ctx l with
   | Some (Symbol.Nonterminal nt) ->
-    List.filter_map
+    List.iter
       (fun p ->
-        if
-          match other_hint with
-          | Some t -> not (can_lead_to ctx p t)
-          | None -> false
-        then None
-        else begin
+        if other_hint < 0 || can_lead_to ctx p other_hint then begin
           let entry' = pack ctx (state_of ctx l) ctx.first_id.(p) in
-          let duplicate = vec_mem entry' seq in
           let cost =
-            if duplicate then ctx.costs.duplicate_production
+            if vec_mem entry' seq then ctx.costs.duplicate_production
             else ctx.costs.production_step
           in
-          let cfg' =
-            if side = 1 then { cfg with seq1 = vec_append cfg.seq1 entry' }
-            else { cfg with seq2 = vec_append cfg.seq2 entry' }
-          in
-          Some (cost, cfg')
+          emit cost (Production (cfg, side, entry'))
         end)
       (Grammar.productions_of ctx.g nt)
-  | Some (Symbol.Terminal _) | None -> []
+  | Some (Symbol.Terminal _) | None -> ()
 
 (* Reduction on one side (paper, Fig. 10(f)). *)
-let reduction ctx cfg ~side =
+let reduction ctx cfg ~side emit =
+  let seq = if side = 1 then cfg.seq1 else cfg.seq2 in
+  let l = vec_last seq in
+  if
+    is_reduce_of ctx l
+    && vec_len seq >= Lr0.rhs_length_of_id ctx.lr0 (id_of ctx l) + 2
+  then begin
+    (* Respect the lookahead set: if the next terminal is already
+       determined, the reduce item must admit it; before the conflict
+       terminal is consumed, the conflict terminal itself must be
+       admissible. *)
+    let la = lookahead_of ctx l in
+    let hint =
+      next_terminal_hint ctx
+        (vec_last (if side = 1 then cfg.seq2 else cfg.seq1))
+    in
+    if
+      (hint < 0 || Bitset.mem la hint)
+      && (cfg.shifted_conflict || Bitset.mem la ctx.terminal)
+    then emit ctx.costs.reduction (Reduce (cfg, side))
+  end
+
+let build_reduction ctx cfg ~side =
   let seq, derivs, anchor =
     if side = 1 then cfg.seq1, cfg.derivs1, cfg.anchor1
     else cfg.seq2, cfg.derivs2, cfg.anchor2
   in
   let l = vec_last seq in
-  if not (is_reduce_of ctx l) then []
-  else begin
-    let len_rhs = Lr0.rhs_length_of_id ctx.lr0 (id_of ctx l) in
-    let len_seq = vec_len seq in
-    if len_seq < len_rhs + 2 then []
-    else begin
-      (* Respect the lookahead set: if the next terminal is already
-         determined, the reduce item must admit it; before the conflict
-         terminal is consumed, the conflict terminal itself must be
-         admissible. *)
-      let la = lookahead_of ctx l in
-      let other_last = vec_last (if side = 1 then cfg.seq2 else cfg.seq1) in
-      let hint = next_terminal_hint ctx other_last in
-      let ok =
-        (match hint with Some t -> Bitset.mem la t | None -> true)
-        && (cfg.shifted_conflict || Bitset.mem la ctx.terminal)
-      in
-      if not ok then []
-      else begin
-        let lhs = Lr0.lhs_of_id ctx.lr0 (id_of ctx l) in
-        let keep = len_seq - len_rhs - 1 in
-        let ctx_entry = seq.a.(keep - 1) in
-        (match next_of ctx ctx_entry with
-        | Some (Symbol.Nonterminal nt) when nt = lhs -> ()
-        | _ -> assert false);
-        match
-          Lr0.transition ctx.lr0 (state_of ctx ctx_entry)
-            (Symbol.Nonterminal lhs)
-        with
-        | None -> assert false
-        | Some s' ->
-          let prod = Item.production ctx.g (Lr0.item_of_id ctx.lr0 (id_of ctx l)) in
-          let n_derivs = Array.length derivs in
-          let children =
-            Array.to_list (Array.sub derivs (n_derivs - len_rhs) len_rhs)
-          in
-          let completes_conflict = anchor >= 0 && anchor >= keep in
-          let dot =
-            if not completes_conflict then None
-            else if side = 1 then Some len_rhs
-            else
-              match ctx.shift_dot with
-              | Some d -> Some d
-              | None -> Some len_rhs (* reduce/reduce second item *)
-          in
-          let node = Derivation.node ?dot ctx.g prod.Grammar.index children in
-          let derivs' =
-            darr_append (Array.sub derivs 0 (n_derivs - len_rhs)) node
-          in
-          let seq' =
-            let a = Array.make (keep + 1) 0 in
-            Array.blit seq.a 0 a 0 keep;
-            a.(keep) <- pack ctx s' (id_of ctx ctx_entry + 1);
-            vec_of_array a
-          in
-          let anchor' = if completes_conflict then -1 else anchor in
-          let cfg' =
-            if side = 1 then
-              { cfg with
-                seq1 = seq'; derivs1 = derivs'; anchor1 = anchor';
-                complete1 = cfg.complete1 || completes_conflict }
-            else
-              { cfg with
-                seq2 = seq'; derivs2 = derivs'; anchor2 = anchor';
-                complete2 = cfg.complete2 || completes_conflict }
-          in
-          [ (ctx.costs.reduction, cfg') ]
-      end
-    end
-  end
+  let len_rhs = Lr0.rhs_length_of_id ctx.lr0 (id_of ctx l) in
+  let lhs = Lr0.lhs_of_id ctx.lr0 (id_of ctx l) in
+  let keep = vec_len seq - len_rhs - 1 in
+  let ctx_entry = seq.a.(keep - 1) in
+  (match next_of ctx ctx_entry with
+  | Some (Symbol.Nonterminal nt) when nt = lhs -> ()
+  | _ -> assert false);
+  match
+    Lr0.transition ctx.lr0 (state_of ctx ctx_entry) (Symbol.Nonterminal lhs)
+  with
+  | None -> assert false
+  | Some s' ->
+    let prod = Item.production ctx.g (Lr0.item_of_id ctx.lr0 (id_of ctx l)) in
+    let n_derivs = Array.length derivs in
+    let children =
+      Array.to_list (Array.sub derivs (n_derivs - len_rhs) len_rhs)
+    in
+    let completes_conflict = anchor >= 0 && anchor >= keep in
+    let dot =
+      if not completes_conflict then None
+      else if side = 1 then Some len_rhs
+      else
+        match ctx.shift_dot with
+        | Some d -> Some d
+        | None -> Some len_rhs (* reduce/reduce second item *)
+    in
+    let node = Derivation.node ?dot ctx.g prod.Grammar.index children in
+    let derivs' = darr_append (Array.sub derivs 0 (n_derivs - len_rhs)) node in
+    let seq' =
+      let a = Array.make (keep + 1) 0 in
+      Array.blit seq.a 0 a 0 keep;
+      a.(keep) <- pack ctx s' (id_of ctx ctx_entry + 1);
+      vec_of_array a
+    in
+    let anchor' = if completes_conflict then -1 else anchor in
+    if side = 1 then
+      { cfg with
+        seq1 = seq'; derivs1 = derivs'; anchor1 = anchor';
+        complete1 = cfg.complete1 || completes_conflict }
+    else
+      { cfg with
+        seq2 = seq'; derivs2 = derivs'; anchor2 = anchor';
+        complete2 = cfg.complete2 || completes_conflict }
 
 (* How a side that ends in a reduce item must be prepared before the
    reduction of Fig. 10(f) can fire. With [m] entries and a right-hand side
@@ -359,139 +364,121 @@ let preparation ctx seq =
   end
 
 (* Reverse transition (paper, Fig. 10(c)): prepend matching predecessor
-   entries to both sequences. *)
-let reverse_transitions ctx cfg =
-  if vec_len cfg.seq1 = 0 || vec_len cfg.seq2 = 0 then []
-  else begin
-    let f1 = cfg.seq1.a.(0) and f2 = cfg.seq2.a.(0) in
-    if dot_of ctx f1 = 0 || dot_of ctx f2 = 0 then []
-    else begin
-      assert (state_of ctx f1 = state_of ctx f2);
-      let head_state = Lr0.state ctx.lr0 (state_of ctx f1) in
-      match head_state.Lr0.accessing with
-      | None -> []
-      | Some z ->
-        let p1 = id_of ctx f1 - 1 and p2 = id_of ctx f2 - 1 in
-        List.filter_map
-          (fun s0 ->
-            if not (Lr0.has_item_id ctx.lr0 s0 p1 && Lr0.has_item_id ctx.lr0 s0 p2)
-            then None
-            else if
-              (* Stage-1 lookahead condition on the first parser's item. *)
-              (not cfg.complete1)
-              && not
-                   (Bitset.mem (Lalr.lookahead_of_id ctx.lalr s0 p1)
-                      ctx.terminal)
-            then None
-            else begin
-              let off_path = not ctx.on_path.(s0) in
-              if off_path && not ctx.extended then None
-              else begin
-                let cost =
-                  ctx.costs.reverse_transition
-                  + if off_path then ctx.costs.off_path else 0
-                in
-                let leaf = Derivation.leaf z in
-                let bump a = if a < 0 then a else a + 1 in
-                Some
-                  ( cost,
-                    { cfg with
-                      seq1 = vec_prepend (pack ctx s0 p1) cfg.seq1;
-                      derivs1 = darr_prepend leaf cfg.derivs1;
-                      seq2 = vec_prepend (pack ctx s0 p2) cfg.seq2;
-                      derivs2 = darr_prepend leaf cfg.derivs2;
-                      anchor1 = bump cfg.anchor1;
-                      anchor2 = bump cfg.anchor2 } )
-              end
-            end)
-          (Lr0.predecessors ctx.lr0 (state_of ctx f1))
-    end
-  end
+   entries to both sequences. Both front entries must have their dot past
+   0; [successors] checks that before calling. *)
+let reverse_transitions ctx cfg emit =
+  let f1 = cfg.seq1.a.(0) and f2 = cfg.seq2.a.(0) in
+  assert (state_of ctx f1 = state_of ctx f2);
+  let p1 = id_of ctx f1 - 1 and p2 = id_of ctx f2 - 1 in
+  if Option.is_some (Lr0.state ctx.lr0 (state_of ctx f1)).Lr0.accessing then
+    List.iter
+      (fun s0 ->
+        if
+          Lr0.has_item_id ctx.lr0 s0 p1
+          && Lr0.has_item_id ctx.lr0 s0 p2
+          (* Stage-1 lookahead condition on the first parser's item. *)
+          && (cfg.complete1
+             || Bitset.mem (Lalr.lookahead_of_id ctx.lalr s0 p1) ctx.terminal)
+        then begin
+          let off_path = not ctx.on_path.(s0) in
+          if ctx.extended || not off_path then
+            emit
+              (ctx.costs.reverse_transition
+              + if off_path then ctx.costs.off_path else 0)
+              (Reverse_transition (cfg, s0))
+        end)
+      (Lr0.predecessors ctx.lr0 (state_of ctx f1))
+
+let build_reverse_transition ctx cfg s0 =
+  let f1 = cfg.seq1.a.(0) and f2 = cfg.seq2.a.(0) in
+  let z = Option.get (Lr0.state ctx.lr0 (state_of ctx f1)).Lr0.accessing in
+  let leaf = Derivation.leaf z in
+  { cfg with
+    seq1 = vec_prepend (pack ctx s0 (id_of ctx f1 - 1)) cfg.seq1;
+    derivs1 = darr_prepend leaf cfg.derivs1;
+    seq2 = vec_prepend (pack ctx s0 (id_of ctx f2 - 1)) cfg.seq2;
+    derivs2 = darr_prepend leaf cfg.derivs2;
+    anchor1 = bump cfg.anchor1;
+    anchor2 = bump cfg.anchor2 }
 
 (* Reverse production step (paper, Fig. 10(d)/(e)): prepend a context item of
    the same state to whichever sequence starts with a dot-0 item. *)
-let reverse_production_steps ctx cfg ~side =
+let reverse_production_steps ctx cfg ~side emit =
   let seq = if side = 1 then cfg.seq1 else cfg.seq2 in
-  if vec_len seq = 0 then []
-  else begin
+  if vec_len seq > 0 && dot_of ctx seq.a.(0) = 0 then begin
     let f = seq.a.(0) in
-    if dot_of ctx f <> 0 then []
-    else begin
-      let f_state = state_of ctx f in
-      let lhs = Lr0.lhs_of_id ctx.lr0 (id_of ctx f) in
-      (* Precise-lookahead pruning: while the conflict reduction is still
-         pending on this side (stage 1, and stage 2 of reduce/reduce
-         conflicts), the conflict terminal must be able to follow the reduced
-         nonterminal in the prepended context, i.e. belong to the context
-         item's followL. This is sound — the LALR lookahead used is an
-         overapproximation — and prunes contexts that can never exhibit the
-         conflict. *)
-      let conflict_reduction_pending =
-        if side = 1 then not cfg.complete1
-        else (not ctx.is_shift_reduce) && not cfg.complete2
-      in
-      List.filter_map
-        (fun (ctx_item : Item.t) ->
-          let ctx_id = Lr0.item_id ctx.lr0 ctx_item in
-          let follow =
-            Analysis.follow_l ctx.analysis (Item.production ctx.g ctx_item)
-              ~dot:ctx_item.Item.dot
-              (Lalr.lookahead_of_id ctx.lalr f_state ctx_id)
+    let f_state = state_of ctx f in
+    let lhs = Lr0.lhs_of_id ctx.lr0 (id_of ctx f) in
+    (* Precise-lookahead pruning: while the conflict reduction is still
+       pending on this side (stage 1, and stage 2 of reduce/reduce
+       conflicts), the conflict terminal must be able to follow the reduced
+       nonterminal in the prepended context, i.e. belong to the context
+       item's followL. This is sound — the LALR lookahead used is an
+       overapproximation — and prunes contexts that can never exhibit the
+       conflict. *)
+    let conflict_reduction_pending =
+      if side = 1 then not cfg.complete1
+      else (not ctx.is_shift_reduce) && not cfg.complete2
+    in
+    List.iter
+      (fun (ctx_item : Item.t) ->
+        let ctx_id = Lr0.item_id ctx.lr0 ctx_item in
+        if
+          (not conflict_reduction_pending)
+          || Analysis.follow_l_mem ctx.analysis
+               (Item.production ctx.g ctx_item)
+               ~dot:ctx_item.Item.dot
+               (Lalr.lookahead_of_id ctx.lalr f_state ctx_id)
+               ctx.terminal
+        then begin
+          let entry = pack ctx f_state ctx_id in
+          let cost =
+            if vec_mem entry seq then ctx.costs.duplicate_production
+            else ctx.costs.production_step
           in
-          if conflict_reduction_pending && not (Bitset.mem follow ctx.terminal)
-          then None
-          else begin
-            let entry = pack ctx f_state ctx_id in
-            let bump a = if a < 0 then a else a + 1 in
-            let duplicate = vec_mem entry seq in
-            let cost =
-              if duplicate then ctx.costs.duplicate_production
-              else ctx.costs.production_step
-            in
-            let cfg' =
-              if side = 1 then
-                { cfg with
-                  seq1 = vec_prepend entry cfg.seq1;
-                  anchor1 = bump cfg.anchor1 }
-              else
-                { cfg with
-                  seq2 = vec_prepend entry cfg.seq2;
-                  anchor2 = bump cfg.anchor2 }
-            in
-            Some (cost, cfg')
-          end)
-        (Lr0.items_with_next ctx.lr0 f_state (Symbol.Nonterminal lhs))
-    end
+          emit cost (Reverse_production (cfg, side, entry))
+        end)
+      (Lr0.items_with_next ctx.lr0 f_state (Symbol.Nonterminal lhs))
   end
 
-let successors ctx cfg =
-  let moves = ref [] in
-  let push l = moves := l @ !moves in
-  push (forward_transition ctx cfg);
-  push (forward_production_steps ctx cfg ~side:1);
-  push (forward_production_steps ctx cfg ~side:2);
-  push (reduction ctx cfg ~side:1);
-  push (reduction ctx cfg ~side:2);
+let build ctx = function
+  | Initial cfg -> cfg
+  | Forward (cfg, s1', s2') -> build_forward ctx cfg s1' s2'
+  | Production (cfg, 1, entry) -> { cfg with seq1 = vec_append cfg.seq1 entry }
+  | Production (cfg, _, entry) -> { cfg with seq2 = vec_append cfg.seq2 entry }
+  | Reduce (cfg, side) -> build_reduction ctx cfg ~side
+  | Reverse_transition (cfg, s0) -> build_reverse_transition ctx cfg s0
+  | Reverse_production (cfg, 1, entry) ->
+    { cfg with seq1 = vec_prepend entry cfg.seq1; anchor1 = bump cfg.anchor1 }
+  | Reverse_production (cfg, _, entry) ->
+    { cfg with seq2 = vec_prepend entry cfg.seq2; anchor2 = bump cfg.anchor2 }
+
+(* Emit every move out of [cfg]. The order is part of the search's
+   behaviour: equal-cost moves pop first-in first-out, so the groups go out
+   last-first — reverse moves, reductions on side 2 then side 1, production
+   steps on side 2 then side 1, and the forward transition last — with each
+   group's own moves in grammar/automaton order. *)
+let successors ctx cfg emit =
   let prep1 = preparation ctx cfg.seq1 and prep2 = preparation ctx cfg.seq2 in
-  (match prep1 with
-  | Needs_context -> push (reverse_production_steps ctx cfg ~side:1)
-  | Needs_symbols | No_preparation -> ());
-  (match prep2 with
-  | Needs_context -> push (reverse_production_steps ctx cfg ~side:2)
-  | Needs_symbols | No_preparation -> ());
   if prep1 = Needs_symbols || prep2 = Needs_symbols then begin
     assert (vec_len cfg.seq1 > 0 && vec_len cfg.seq2 > 0);
     let f1 = cfg.seq1.a.(0) and f2 = cfg.seq2.a.(0) in
     if dot_of ctx f1 > 0 && dot_of ctx f2 > 0 then
-      push (reverse_transitions ctx cfg)
+      reverse_transitions ctx cfg emit
     else begin
       (* Unblock reverse transitions (Fig. 10(e)): undo the production step
          that created whichever front item has its dot at 0. *)
-      if dot_of ctx f1 = 0 then push (reverse_production_steps ctx cfg ~side:1);
-      if dot_of ctx f2 = 0 then push (reverse_production_steps ctx cfg ~side:2)
+      if dot_of ctx f2 = 0 then reverse_production_steps ctx cfg ~side:2 emit;
+      if dot_of ctx f1 = 0 then reverse_production_steps ctx cfg ~side:1 emit
     end
   end;
-  !moves
+  if prep2 = Needs_context then reverse_production_steps ctx cfg ~side:2 emit;
+  if prep1 = Needs_context then reverse_production_steps ctx cfg ~side:1 emit;
+  reduction ctx cfg ~side:2 emit;
+  reduction ctx cfg ~side:1 emit;
+  forward_production_steps ctx cfg ~side:2 emit;
+  forward_production_steps ctx cfg ~side:1 emit;
+  forward_transition ctx cfg emit
 
 (* Success (paper, section 5.4): both sequences have become a single
    transition over the same nonterminal, and the two derivations of that
@@ -536,11 +523,14 @@ let shared_of_lalr lalr =
 
 (* Per-domain scratch pool: the visited table keeps its bucket capacity
    across searches ([Ktbl.clear] does not shrink), and so does the bucket
-   queue. Take-out/put-back through the DLS slot: a search that raises
-   abandons the scratch, so a dirty structure is never reused. *)
+   queue. A search that stops at its budget leaves unbuilt moves queued;
+   [put_scratch] clears them, and with them their references to explored
+   configurations, before the scratch goes back. Take-out/put-back through
+   the DLS slot: a search that raises abandons the scratch, so a dirty
+   structure is never reused. *)
 type scratch = {
   visited : unit Ktbl.t;
-  queue : config Bucket_queue.t;
+  queue : move Bucket_queue.t;
 }
 
 let scratch_slot : scratch option ref Domain.DLS.key =
@@ -615,9 +605,16 @@ let search ?(costs = default_costs) ?(extended = false)
   let scratch = take_scratch () in
   let visited = scratch.visited in
   let queue = scratch.queue in
-  Bucket_queue.add queue 0 initial;
+  Bucket_queue.add queue 0 (Initial initial);
   let explored = ref 0 in
   let pushes = ref 1 in
+  (* The cost of the configuration being expanded; [emit] adds each move's
+     cost delta to it. One closure per search, not one per configuration. *)
+  let base = ref 0 in
+  let emit delta move =
+    incr pushes;
+    Bucket_queue.add queue (!base + delta) move
+  in
   let result = ref None in
   let give_up =
     (* Check the deadline on loop entry: an already-expired per-conflict
@@ -634,20 +631,20 @@ let search ?(costs = default_costs) ?(extended = false)
     else begin
       match Bucket_queue.pop queue with
       | None -> assert false
-      | Some (cost, cfg) ->
+      | Some (cost, move) ->
+        (* Built at pop time. A move whose configuration was explored
+           before it was queued, or while it waited, is skipped here; such
+           entries never reorder the others, so the configurations explored
+           and their order do not depend on where the check runs. *)
+        let cfg = build ctx move in
         if not (Ktbl.mem visited cfg) then begin
           Ktbl.add visited cfg ();
           incr explored;
           match success ctx cfg with
           | Some u -> result := Some u
           | None ->
-            List.iter
-              (fun (delta, cfg') ->
-                if not (Ktbl.mem visited cfg') then begin
-                  incr pushes;
-                  Bucket_queue.add queue (cost + delta) cfg'
-                end)
-              (successors ctx cfg)
+            base := cost;
+            successors ctx cfg emit
         end
     end
   done;

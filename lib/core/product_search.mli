@@ -80,7 +80,10 @@ val search :
     [max_configs] (default 400k). Emits [configs_explored] and
     [queue_pushes] counters for the ["search"] stage into [trace] — the
     driver prefixes the sink ({!Cex_session.Trace.prefixed}), so the
-    counters surface as ["product.search"].
+    counters surface as ["product.search"]. [queue_pushes] counts every
+    successor queued; successors are built and checked against the visited
+    set only when popped, so it includes those that turn out to be
+    explored already.
     [stats.elapsed] is measured on the deadline's clock (the system
     monotonic clock for {!Cex_session.Deadline.never}). [shared] (default:
     rebuilt per call) must come from {!shared_of_lalr} on the same

@@ -54,6 +54,12 @@ val follow_l : t -> Grammar.production -> dot:int -> Bitset.t -> Bitset.t
     actually follow the nonterminal at position [dot] of the production when
     the item's precise lookahead set is the last argument. *)
 
+val follow_l_mem :
+  t -> Grammar.production -> dot:int -> Bitset.t -> int -> bool
+(** [follow_l_mem a p ~dot l t] is [Bitset.mem (follow_l a p ~dot l) t],
+    without building the set: the membership test of the searches'
+    precise-lookahead pruning. *)
+
 val reachable : t -> int -> bool
 (** Reachable from the augmented start symbol. *)
 

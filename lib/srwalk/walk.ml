@@ -509,16 +509,16 @@ let context_steps ctx nd ~side =
       List.filter_map
         (fun (ctx_item : Item.t) ->
           let ctx_id = Lr0.item_id lr0 ctx_item in
-          let follow =
-            Analysis.follow_l ctx.sr.Sr_automaton.analysis
-              (Grammar.production ctx.sr.Sr_automaton.g
-                 ctx.sr.Sr_automaton.prod.(ctx_id))
-              ~dot:ctx_item.Item.dot
-              (Lalr.lookahead_of_id ctx.sr.Sr_automaton.lalr f_state ctx_id)
-          in
           if
             conflict_reduction_pending
-            && not (Bitset.mem follow ctx.terminal)
+            && not
+                 (Analysis.follow_l_mem ctx.sr.Sr_automaton.analysis
+                    (Grammar.production ctx.sr.Sr_automaton.g
+                       ctx.sr.Sr_automaton.prod.(ctx_id))
+                    ~dot:ctx_item.Item.dot
+                    (Lalr.lookahead_of_id ctx.sr.Sr_automaton.lalr f_state
+                       ctx_id)
+                    ctx.terminal)
           then None
           else begin
             let entry = pack ctx f_state ctx_id in

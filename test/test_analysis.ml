@@ -66,6 +66,43 @@ let test_follow_l_nullable_tail () =
   Alcotest.(check (list string)) "followL with nullable tail" [ "A"; "F" ]
     (names (Analysis.follow_l a p ~dot:1 l))
 
+(* [follow_l_mem] is membership in [follow_l], for every (production, dot,
+   terminal) of a few corpus grammars, with an empty, a full and a partial
+   lookahead set. *)
+let test_follow_l_mem_corpus () =
+  List.iter
+    (fun name ->
+      let g = Corpus.grammar (Corpus.find name) in
+      let a = Analysis.make g in
+      let n_t = Grammar.n_terminals g in
+      let all = List.init n_t Fun.id in
+      let ls =
+        [ Bitset.empty;
+          Bitset.of_list all;
+          Bitset.of_list (List.filter (fun t -> t mod 3 = 0) all) ]
+      in
+      let nullable_tails = ref 0 in
+      for prod = 0 to Grammar.n_productions g - 1 do
+        let p = Grammar.production g prod in
+        for dot = 0 to Array.length p.Grammar.rhs do
+          if snd (Analysis.first_of_prod a ~prod ~from:(dot + 1)) then
+            incr nullable_tails;
+          List.iter
+            (fun l ->
+              let follow = Analysis.follow_l a p ~dot l in
+              for t = 0 to n_t - 1 do
+                if Analysis.follow_l_mem a p ~dot l t <> Bitset.mem follow t
+                then
+                  Alcotest.failf "%s: production %d, dot %d, terminal %s" name
+                    prod dot (Grammar.terminal_name g t)
+              done)
+            ls
+        done
+      done;
+      Alcotest.(check bool)
+        (name ^ " has nullable suffixes") true (!nullable_tails > 0))
+    [ "figure1"; "xi"; "Pascal.1"; "C.1"; "Java.1" ]
+
 let test_productive_reachable () =
   let a = analysis "s : X | bad ; bad : Y bad ; lost : Z ; s : W ;" in
   Alcotest.(check bool) "s productive" true (Analysis.productive a (nt a "s"));
@@ -177,6 +214,8 @@ let suite =
       Alcotest.test_case "followL cases" `Quick test_follow_l;
       Alcotest.test_case "followL nullable tail" `Quick
         test_follow_l_nullable_tail;
+      Alcotest.test_case "followL membership on the corpus" `Quick
+        test_follow_l_mem_corpus;
       Alcotest.test_case "productive and reachable" `Quick
         test_productive_reachable;
       Alcotest.test_case "epsilon derivation" `Quick test_epsilon_derivation;

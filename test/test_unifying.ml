@@ -8,13 +8,13 @@ let setup source =
 
 let names g symbols = List.map (Grammar.symbol_name g) symbols
 
-let search ?extended lalr c =
+let search ?extended ?trace ?max_configs lalr c =
   let path =
     Option.get
       (Cex.Lookahead_path.find lalr ~conflict_state:c.Conflict.state
          ~reduce_item:(Conflict.reduce_item c) ~terminal:c.Conflict.terminal)
   in
-  Cex.Product_search.search ?extended lalr ~conflict:c
+  Cex.Product_search.search ?extended ?trace ?max_configs lalr ~conflict:c
     ~path_states:(Cex.Lookahead_path.states_on_path path)
 
 let expect_unifying ?extended lalr c =
@@ -157,6 +157,47 @@ let test_nullable_ambiguity () =
       (names g u.Cex.Product_search.form)
   | cs -> Alcotest.failf "expected 1 conflict, got %d" (List.length cs)
 
+(* Each domain reuses one visited table and bucket queue across searches. A
+   search stopped by its budget leaves unbuilt moves queued, and a search
+   whose trace sink raises never finishes normally; either way, the next
+   search on that domain must give the outcome and [configs_explored] it
+   gives on a fresh domain. *)
+let test_scratch_reuse () =
+  let lalr, conflicts = setup Corpus.Paper_grammars.figure1 in
+  let first = List.hd conflicts and last = List.nth conflicts 2 in
+  let summary = function
+    | Cex.Product_search.Unifying (u, s) ->
+      ( Fmt.str "unifying %s" (Derivation.to_string (Lalr.grammar lalr)
+                                 u.Cex.Product_search.deriv1),
+        s.Cex.Product_search.configs_explored )
+    | Cex.Product_search.Timeout s -> "timeout", s.configs_explored
+    | Cex.Product_search.Exhausted s -> "exhausted", s.configs_explored
+  in
+  let on_domain f = Domain.join (Domain.spawn f) in
+  let fresh = on_domain (fun () -> summary (search lalr last)) in
+  let expect = Alcotest.(check (pair string int)) in
+  let after_timeout =
+    on_domain (fun () ->
+        (match search ~max_configs:3 lalr first with
+        | Cex.Product_search.Timeout _ -> ()
+        | _ -> Alcotest.fail "expected the tiny budget to time out");
+        summary (search lalr last))
+  in
+  expect "after a budget stop" fresh after_timeout;
+  let raising =
+    Cex_session.Trace.make
+      ~on_span:(fun _ _ -> ())
+      ~on_count:(fun _ _ _ -> raise Exit)
+  in
+  let after_raise =
+    on_domain (fun () ->
+        (match search ~trace:raising lalr first with
+        | _ -> Alcotest.fail "expected the trace sink to raise"
+        | exception Exit -> ());
+        summary (search lalr last))
+  in
+  expect "after a raising sink" fresh after_raise
+
 (* Driver-level behaviour: timeouts fall back to nonunifying counterexamples
    and the cumulative budget short-circuits remaining conflicts. *)
 let test_driver_outcomes () =
@@ -246,6 +287,8 @@ let suite =
       Alcotest.test_case "reduce/reduce unifying" `Quick
         test_reduce_reduce_unifying;
       Alcotest.test_case "nullable ambiguity" `Quick test_nullable_ambiguity;
+      Alcotest.test_case "scratch reuse across searches" `Quick
+        test_scratch_reuse;
       Alcotest.test_case "driver outcomes" `Quick test_driver_outcomes;
       Alcotest.test_case "driver cumulative budget" `Quick
         test_driver_cumulative_budget;

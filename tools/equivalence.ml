@@ -2,6 +2,12 @@
 
      dune exec tools/equivalence.exe > test/equivalence.golden
 
+   An optional argument sets the per-conflict configuration budget. At the
+   benchmark's budget only the digest is committed:
+
+     dune exec tools/equivalence.exe -- 50000 | sha256sum
+       (compare with test/equivalence_50k.sha256)
+
    The committed file was captured from the seed (pre-overhaul) engine; only
    regenerate it for a change that is *meant* to alter search outcomes, and
    say so in the commit message. *)
