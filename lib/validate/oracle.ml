@@ -4,6 +4,24 @@ module Session = Cex_session.Session
 module Clock = Cex_session.Clock
 module Trace = Cex_session.Trace
 
+module Form_key = struct
+  type t = Symbol.t * Symbol.t list
+
+  let equal (s1, f1) (s2, f2) =
+    Symbol.equal s1 s2 && List.equal Symbol.equal f1 f2
+
+  (* Folded over every symbol: nonunifying forms share long prefixes, which
+     the polymorphic hash (it stops after a few meaningful words) maps to
+     one bucket. *)
+  let hash (start, form) =
+    List.fold_left
+      (fun h sym -> (h * 31) + Symbol.hash sym)
+      (Symbol.hash start) form
+    land max_int
+end
+
+module Form_tbl = Hashtbl.Make (Form_key)
+
 type t = {
   table : Parse_table.t;
   grammar : Grammar.t;
@@ -11,11 +29,11 @@ type t = {
   clock : Clock.t;
   collector : Trace.collector;
   sink : Trace.sink;
-  derives_memo : (Symbol.t * Symbol.t list, bool) Hashtbl.t;
+  derives_memo : bool Form_tbl.t;
       (** conflicts in one state share prefixes and continuations, so a
           batch-sized report replays the same sentential forms over and
           over; one chart per distinct form, not per conflict *)
-  ambiguous_memo : (Symbol.t * Symbol.t list, bool) Hashtbl.t;
+  ambiguous_memo : bool Form_tbl.t;
 }
 
 let create ?(clock = Clock.system) table =
@@ -26,26 +44,29 @@ let create ?(clock = Clock.system) table =
     clock;
     collector;
     sink = Trace.collector_sink collector;
-    derives_memo = Hashtbl.create 64;
-    ambiguous_memo = Hashtbl.create 16 }
+    derives_memo = Form_tbl.create 64;
+    ambiguous_memo = Form_tbl.create 16 }
 
-let memoized table f key =
-  match Hashtbl.find_opt table key with
+(* A miss builds one chart; its evaluated cells feed the ["chart_cells"]
+   counter, so the counter measures chart work, not lookups. *)
+let memoized t table ~start form query =
+  let key = (start, form) in
+  match Form_tbl.find_opt table key with
   | Some v -> v
   | None ->
-    let v = f () in
-    Hashtbl.add table key v;
+    let cells = ref 0 in
+    let v = query ~cells in
+    Trace.count t.sink "validate" "chart_cells" !cells;
+    Form_tbl.add table key v;
     v
 
 let derives t ~start form =
-  memoized t.derives_memo
-    (fun () -> Earley.derives t.earley ~start form)
-    (start, form)
+  memoized t t.derives_memo ~start form (fun ~cells ->
+      Earley.derives t.earley ~cells ~start form)
 
 let ambiguous_from t ~start form =
-  memoized t.ambiguous_memo
-    (fun () -> Earley.ambiguous_from t.earley ~start form)
-    (start, form)
+  memoized t t.ambiguous_memo ~start form (fun ~cells ->
+      Earley.ambiguous_from t.earley ~cells ~start form)
 
 let of_session session =
   create ~clock:(Session.clock session) (Session.table session)

@@ -43,7 +43,19 @@ val of_session : Cex_session.Session.t -> t
 
 val metrics : t -> Cex_session.Trace.metrics
 (** Everything recorded so far under the ["validate"] stage: one span per
-    checked report plus ["unifying"]/["nonunifying"]/["failed"] counters. *)
+    checked report plus ["unifying"]/["nonunifying"]/["failed"] counters
+    and ["chart_cells"], the chart cells {!Earley} evaluated for the
+    queries the memo had not answered yet (machine-independent work). *)
+
+module Form_key :
+  Hashtbl.HashedType with type t = Cfg.Symbol.t * Cfg.Symbol.t list
+(** Memo key of a chart query: start symbol and sentential form, hashed
+    over every symbol of the form. *)
+
+val derives : t -> start:Cfg.Symbol.t -> Cfg.Symbol.t list -> bool
+val ambiguous_from : t -> start:Cfg.Symbol.t -> Cfg.Symbol.t list -> bool
+(** {!Earley.derives} and {!Earley.ambiguous_from}, memoized per oracle by
+    {!Form_key}: one chart per distinct query. *)
 
 val check_unifying : t -> Cex.Product_search.unifying -> string list
 val check_nonunifying : t -> Cex.Nonunifying.t -> string list

@@ -64,6 +64,74 @@ let test_metrics_merged () =
       (List.length report.Cex.Driver.conflict_reports)
       m.Cex_session.Trace.spans
 
+let chart_cells oracle =
+  match List.assoc_opt "validate" (Oracle.metrics oracle) with
+  | None -> 0
+  | Some m ->
+    Option.value ~default:0
+      (List.assoc_opt "chart_cells" m.Cex_session.Trace.counters)
+
+(* [chart_cells] counts the chart work behind the verdicts: present,
+   positive, and a function of the report alone. *)
+let test_chart_cells_counter () =
+  let run () =
+    let _, oracle, report = analyzed Corpus.Paper_grammars.figure1 in
+    let report = Oracle.validate_report oracle report in
+    let stage = List.assoc "validate" report.Cex.Driver.metrics in
+    match List.assoc_opt "chart_cells" stage.Cex_session.Trace.counters with
+    | None -> Alcotest.fail "no chart_cells counter in the validate stage"
+    | Some n -> n
+  in
+  let first = run () in
+  Alcotest.(check bool) "chart_cells positive" true (first > 0);
+  Alcotest.(check int) "chart_cells deterministic" first (run ())
+
+(* Nonunifying forms share long prefixes: the memo must hash past them.
+   Every distinct form is its own entry (a miss that builds a chart; each
+   form ends in a symbol that selects cells), its verdict is the chart
+   parser's, and asking again builds nothing. *)
+let test_memo_long_shared_prefix () =
+  let g = Spec_parser.grammar_of_string_exn "s : A s | B ;" in
+  let session = Cex_session.Session.create g in
+  let oracle = Oracle.of_session session in
+  let earley = Earley.make g in
+  let sym name = Option.get (Grammar.find_symbol g name) in
+  let a = sym "A" and b = sym "B" and s = sym "s" in
+  let start = Symbol.Nonterminal 0 in
+  let prefix = List.init 20 (fun _ -> a) in
+  let tails =
+    List.concat_map
+      (fun k ->
+        let as_ = List.init k (fun _ -> a) in
+        [ as_ @ [ b ]; as_ @ [ s ]; as_ @ [ b; b ]; as_ @ [ s; b ] ])
+      [ 0; 1; 2; 3; 4 ]
+  in
+  let forms = List.map (fun tail -> prefix @ tail) tails in
+  let hashes =
+    List.sort_uniq compare
+      (List.map (fun f -> Oracle.Form_key.hash (start, f)) forms)
+  in
+  Alcotest.(check int) "distinct hashes" (List.length forms)
+    (List.length hashes);
+  List.iter
+    (fun form ->
+      let before = chart_cells oracle in
+      Alcotest.(check bool) "verdict" (Earley.derives earley ~start form)
+        (Oracle.derives oracle ~start form);
+      Alcotest.(check bool) "a miss builds a chart" true
+        (chart_cells oracle > before))
+    forms;
+  Alcotest.(check bool) "some forms derivable" true
+    (List.exists (fun f -> Oracle.derives oracle ~start f) forms);
+  let total = chart_cells oracle in
+  List.iter
+    (fun form ->
+      Alcotest.(check bool) "memoized verdict"
+        (Earley.derives earley ~start form)
+        (Oracle.derives oracle ~start form))
+    forms;
+  Alcotest.(check int) "repeats hit the memo" total (chart_cells oracle)
+
 (* ------------------------------------------------------------------ *)
 (* Rejection: hand-mutated counterexamples must each fail with the right
    verdict. figure1 (dangling else) yields a unifying counterexample whose
@@ -260,6 +328,9 @@ let test_shrink_preserves_failure () =
 let suite =
   ( "validate",
     [ Alcotest.test_case "metrics merged" `Quick test_metrics_merged;
+      Alcotest.test_case "chart_cells counter" `Quick test_chart_cells_counter;
+      Alcotest.test_case "memo hashes whole forms" `Quick
+        test_memo_long_shared_prefix;
       Alcotest.test_case "originals pass" `Quick test_originals_pass;
       Alcotest.test_case "reject duplicated tree" `Quick
         test_reject_duplicated_tree;
